@@ -578,11 +578,12 @@ def make_pipeline_objective(series, config: RunConfig, log):
 
 def _write_partial_dependence(space: SearchSpace, trials, seed: int,
                               out: Path) -> list[str]:
-    surrogate = Surrogate(space, seed=seed)
-    for trial in trials:
-        observe(surrogate, trial.params, trial.objective)
-    if surrogate.n_observed < 2:
+    """Partial dependence of one GP fit over all of a phase's trials,
+    seeded like the search of that phase."""
+    if len(trials) < 2:
         return []
+    surrogate = observe(Surrogate(space, seed=seed),
+                        [t.params for t in trials], [t.objective for t in trials])
     written = []
     for i, dim in enumerate(space.dimensions):
         rel = f"pd_{dim.name}.csv"
@@ -613,14 +614,14 @@ def _cmd_hpo(config: RunConfig, out: Path, log) -> list[str]:
         write_trials_csv(result.phase2, sub, out / "trials_phase2.csv")
         written += ["trials_phase1.csv", "trials_phase2.csv"]
         best_params, best_objective = result.best_params, result.best_objective
-        pd_space, pd_trials = sub, result.phase2
+        pd_space, pd_trials, pd_seed = sub, result.phase2, result.seed2
     elif phase == "1":
         trials, best = run_phase(space, config["budget"], objective, seed,
                                  n_init=config["n_init"])
         write_trials_csv(trials, space, out / "trials.csv")
         written.append("trials.csv")
         best_params, best_objective = best.params, best.objective
-        pd_space, pd_trials = space, trials
+        pd_space, pd_trials, pd_seed = space, trials, seed
     elif phase == "2":
         if not config["phase1_log"]:
             raise ConfigInvalid(
@@ -640,7 +641,7 @@ def _cmd_hpo(config: RunConfig, out: Path, log) -> list[str]:
         written.append("trials.csv")
         best_params = {**fixed, **best.params}
         best_objective = best.objective
-        pd_space, pd_trials = sub, trials
+        pd_space, pd_trials, pd_seed = sub, trials, seed
     else:
         raise ConfigInvalid(
             f"hpo: phase must be 1, 2 or both, got {config['phase']!r}"
@@ -651,7 +652,7 @@ def _cmd_hpo(config: RunConfig, out: Path, log) -> list[str]:
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
     written.append("best.json")
-    written += _write_partial_dependence(pd_space, pd_trials, seed, out)
+    written += _write_partial_dependence(pd_space, pd_trials, pd_seed, out)
     log.info("best objective %.4f at %s", best_objective,
              {k: best_params[k] for k in sorted(best_params)})
     return sorted(written)

@@ -15,6 +15,7 @@ training data (never the test set).
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +24,8 @@ from scipy import optimize
 from scipy.stats import norm, qmc
 
 from .errors import AllTrialsFailed, ConfigError, DegenerateSurrogate
+
+log = logging.getLogger(__name__)
 
 JITTER = 1e-8
 N_INIT = 8
@@ -263,11 +266,14 @@ def _fit_hyperparameters(surr: Surrogate) -> None:
     surr._factorize()
 
 
-def observe(surr: Surrogate, params: dict, objective: float) -> Surrogate:
-    """Add one (point, objective) pair and refit the GP. Returns the surrogate."""
-    u = np.clip(surr.space.to_unit(params), 0.0, 1.0)
-    surr.x = np.vstack([surr.x, u[None]])
-    surr.y = np.append(surr.y, float(objective))
+def observe(surr: Surrogate, params: dict | list[dict],
+            objective: float | list[float]) -> Surrogate:
+    """Add one (point, objective) pair, or lists of them, and refit the GP
+    once. Returns the surrogate."""
+    batch = [params] if isinstance(params, dict) else params
+    u = np.clip([surr.space.to_unit(p) for p in batch], 0.0, 1.0)
+    surr.x = np.vstack([surr.x, u])
+    surr.y = np.append(surr.y, np.asarray(objective, dtype=float))
     _fit_hyperparameters(surr)
     return surr
 
@@ -310,9 +316,10 @@ def run_phase(space: SearchSpace, budget: int, objective_fn, seed: int,
               n_init: int = N_INIT) -> tuple[list[HpoTrial], HpoTrial]:
     """Sequential suggest -> evaluate -> observe loop.
 
-    A trial whose objective raises or returns a non-finite value is recorded
-    as failed and observed at the worst case 1.0 so the surrogate learns to
-    avoid the region.
+    A trial whose objective raises or returns a non-finite value is logged
+    at warning with the exception type and message, recorded as failed and
+    observed at the worst case 1.0 so the surrogate learns to avoid the
+    region.
     """
     if budget < n_init:
         raise ConfigError(f"budget {budget} is below n_init {n_init}")
@@ -327,7 +334,10 @@ def run_phase(space: SearchSpace, budget: int, objective_fn, seed: int,
             value = min(max(value, 0.0), 1.0)
             trials.append(HpoTrial(params=params, objective=value, status="done"))
             observe(surr, params, value)
-        except Exception:
+        except Exception as exc:
+            log.warning("trial %d of %d failed (%s: %s) at %s",
+                        len(trials) + 1, budget, type(exc).__name__, exc,
+                        {k: params[k] for k in sorted(params)})
             trials.append(HpoTrial(params=params, objective=1.0, status="failed"))
             observe(surr, params, 1.0)
     done = [t for t in trials if t.status == "done"]
@@ -345,12 +355,13 @@ class TwoPhaseResult:
     best2: HpoTrial
     best_params: dict
     best_objective: float
+    seed2: int  # the seed phase 2 searched with
 
 
 def run_two_phase(space: SearchSpace, budget1: int, budget2: int, objective_fn,
                   seed: int, n_init: int = N_INIT) -> TwoPhaseResult:
     """Phase 1 over all dims, then phase 2 over units/layers/window with the
-    remaining parameters pinned at the phase-1 best."""
+    remaining parameters pinned at the phase-1 best, searched with seed + 1."""
     trials1, best1 = run_phase(space, budget1, objective_fn, seed, n_init=n_init)
     sub = phase2_space(space)
     fixed = {k: v for k, v in best1.params.items() if k not in sub.names}
@@ -358,7 +369,8 @@ def run_two_phase(space: SearchSpace, budget1: int, budget2: int, objective_fn,
     def restricted(params: dict) -> float:
         return objective_fn({**fixed, **params})
 
-    trials2, best2 = run_phase(sub, budget2, restricted, seed + 1, n_init=n_init)
+    seed2 = seed + 1
+    trials2, best2 = run_phase(sub, budget2, restricted, seed2, n_init=n_init)
     if best2.objective <= best1.objective:
         best_params = {**fixed, **best2.params}
         best_objective = best2.objective
@@ -367,7 +379,7 @@ def run_two_phase(space: SearchSpace, budget1: int, budget2: int, objective_fn,
         best_objective = best1.objective
     return TwoPhaseResult(phase1=trials1, best1=best1, phase2=trials2,
                           best2=best2, best_params=best_params,
-                          best_objective=best_objective)
+                          best_objective=best_objective, seed2=seed2)
 
 
 # --- partial dependence -----------------------------------------------------------

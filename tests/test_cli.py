@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sentinel import hpo
 from sentinel.cli import (
     RunConfig,
     dispatch,
@@ -244,6 +245,31 @@ class TestPipelineSmoke:
         best = json.loads((out / "best.json").read_text())
         assert set(best) == {"objective", "params"}
         assert (out / "pd_gru_units.csv").exists()
+        assert (out / "pd_gru_units_window_size.csv").exists()
+
+    def test_hpo_both_fits_partial_dependence_once_with_phase2_seed(
+            self, pipeline, tmp_path, monkeypatch):
+        fits = []  # (surrogate seed, observations) per GP fit
+        fit = hpo._fit_hyperparameters
+
+        def counted(surr):
+            fits.append((surr.seed, surr.n_observed))
+            fit(surr)
+
+        monkeypatch.setattr(hpo, "_fit_hyperparameters", counted)
+        space = tmp_path / "space.ini"
+        space.write_text(SPACE_INI)
+        out = pipeline / "hpo_both"
+        assert run_cli(
+            "hpo", "--out", out,
+            "--train-dir", pipeline / "prep" / "clean" / "train",
+            "--space", space, "--phase", "both",
+            "--budget", 3, "--budget2", 2, "--n-init", 2, "--epochs", 1,
+            "--stride", 80, "--seed", 5, "--log-level", "warning",
+        ) == 0
+        # one refit per observed trial in each phase (phase 2 searches with
+        # seed + 1), then a single fit over phase 2's trials for the pd files
+        assert fits == [(5, 1), (5, 2), (5, 3), (6, 1), (6, 2), (6, 2)]
         assert (out / "pd_gru_units_window_size.csv").exists()
 
     def test_report_renders_html_and_svg(self, pipeline):

@@ -1,6 +1,7 @@
 """Search-space mapping, GP surrogate behavior, EI acquisition, the
 two-phase loop, and partial dependence."""
 
+import logging
 import math
 
 import numpy as np
@@ -213,12 +214,13 @@ class TestRunPhase:
         best_so_far = np.minimum.accumulate([t.objective for t in trials])
         assert all(a >= b for a, b in zip(best_so_far, best_so_far[1:]))
 
-    def test_failed_trials_recorded(self):
+    def test_failed_trials_recorded(self, caplog):
         def flaky(params):
             if params["u0"] > 0.5:
                 raise RuntimeError("boom")
             return params["u0"]
 
+        caplog.set_level(logging.WARNING, logger="sentinel.hpo")
         trials, best = hpo.run_phase(unit_space(2), 12, flaky, seed=4)
         statuses = {t.status for t in trials}
         assert "failed" in statuses and "done" in statuses
@@ -228,6 +230,10 @@ class TestRunPhase:
             else:
                 assert t.params["u0"] <= 0.5
         assert best.status == "done"
+        warnings = [r for r in caplog.records
+                    if r.name == "sentinel.hpo" and r.levelno == logging.WARNING]
+        assert len(warnings) == sum(t.status == "failed" for t in trials)
+        assert all("RuntimeError: boom" in r.getMessage() for r in warnings)
 
     def test_all_failed_raises(self):
         def broken(params):

@@ -4,6 +4,7 @@ against central finite differences, and ADADELTA update arithmetic."""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import expit
 
 from sentinel import nn
 from sentinel.errors import DimensionMismatch
@@ -36,6 +37,28 @@ def scalar_cell(x, h, params):
         c = np.tanh(c_pre)
         out[i] = (1.0 - z_vec[i]) * h[i] + z_vec[i] * c
     return out
+
+
+class TestSigmoid:
+    GRID = np.linspace(-800.0, 800.0, 160_001)
+
+    def test_matches_expit(self):
+        assert np.abs(nn.sigmoid(self.GRID) - expit(self.GRID)).max() <= 1e-15
+
+    def test_half_at_zero(self):
+        assert nn.sigmoid(np.array(0.0)) == 0.5
+        assert nn.sigmoid(np.zeros(3)).tolist() == [0.5, 0.5, 0.5]
+
+    def test_symmetric(self):
+        x = self.GRID
+        assert np.abs(nn.sigmoid(-x) - (1.0 - nn.sigmoid(x))).max() <= 2.3e-16
+
+    def test_no_floating_point_warning(self):
+        x = np.concatenate([self.GRID, [-1e4, 1e4]])
+        with np.errstate(over="raise", invalid="raise"):
+            y = nn.sigmoid(x)
+        assert y[-2] == 0.0 and y[-1] == 1.0
+        assert np.all((y >= 0.0) & (y <= 1.0))
 
 
 class TestGruCell:

@@ -239,6 +239,32 @@ class TestOutlierRemoval:
         untouched = np.setdiff1d(np.arange(x.size), result.removed)
         assert np.array_equal(result.values[untouched], x[untouched])
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: with the default OutlierConfig, iterative removal "
+        "replaces about 6% of uncorrupted grid positions of the rougher "
+        "criterion-4 signal (noise_coef 0.85), against the 1% criterion 3 "
+        "allows; the smooth default signal gives about 0.03%"))
+    def test_rough_signal_false_removals_within_one_percent(self, tmp_path):
+        cfg = SynthConfig(
+            n_syncope=20, n_nosyncope=20,
+            length_range=(1700, 1900), onset_lead=750,
+            noise_coef=0.85, hr_noise_std=1.5, bp_noise_std=2.0,
+            gap_probability=0.004, spike_probability=0.004, spike_sigma=30.0,
+            seed=1,
+        )
+        gen = generate_dataset(cfg, tmp_path)
+        catalog = scan_dataset(tmp_path)
+        false_total = positions = 0
+        for rec in catalog.records:
+            offset = int(round(rec.time_span()[0] * catalog.rate_hz))
+            grid = fill_gaps(rec, catalog.rate_hz)
+            for name, values in (("mBP", grid.mbp), ("HR", grid.hr)):
+                planted = {i - offset for i in gen.truth[rec.id].spikes[name]}
+                result = remove_outliers_iterative(values, OutlierConfig())
+                false_total += len({int(i) for i in result.removed} - planted)
+                positions += values.size
+        assert false_total / positions <= 0.01
+
     def test_config_validation(self):
         with pytest.raises(BadWindow):
             OutlierConfig(median_window=4)
