@@ -69,6 +69,10 @@ class DimensionMismatch(SentinelError):
     """Array shape is inconsistent with the model specification."""
 
 
+class NoActivationCache(SentinelError):
+    """Backpropagation was given an inference-only forward cache."""
+
+
 class SeriesTooShort(DataError):
     """Series is shorter than one analysis window."""
 

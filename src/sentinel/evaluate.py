@@ -14,8 +14,14 @@ detector never fires) are reported as absent values — never coerced to
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -31,7 +37,13 @@ from .errors import (
 from .nn import GruModel, forward_batch
 from .preprocess import CleanSeries
 
-EVAL_CHUNK = 256  # windows per forward pass when tracing a series
+EVAL_CHUNK = 256  # windows in flight at once when tracing a series
+# Models whose widest layer is narrower than this trace serially: their
+# per-step numpy calls are too short to release the interpreter lock
+# usefully. Pooled against serial speed on 2 CPUs (1- and 2-layer
+# bidirectional models, 1,199-sample series): 8 units 0.65-0.72x,
+# 16 units 0.83-0.92x, 24 units 0.91-1.15x, 32 units 1.09-1.30x.
+POOL_MIN_UNITS = 24
 
 
 def recall(tp: int, fn: int) -> float:
@@ -107,10 +119,60 @@ def median_reaction(report: EvalReport) -> float | None:
     return float(np.median(times))
 
 
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS bundled with numpy,
+    or None where that library is not found."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+def _trace_workers(model: GruModel) -> int:
+    """Threads that score one series' trace: one per CPU available to the
+    process, or one for narrow models and where BLAS cannot be held to one
+    thread (with BLAS's own threads running the pool is no faster)."""
+    if max(model.spec.units) < POOL_MIN_UNITS or _openblas() is None:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS to one thread, where it is found, while a pool calls it."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def series_probabilities(model: GruModel, series: CleanSeries) -> np.ndarray:
     """P(syncope) for every stride-1 window of the series.
 
     Entry i corresponds to the window ending at sample i + window_size - 1.
+    The windows are scored in chunks on ``_trace_workers(model)`` threads
+    (one worker scores them on the calling thread).
+    Each window's row of every matmul is computed alone, whatever the chunk
+    size or BLAS thread count, so the trace does not depend on the worker
+    count.
     """
     window = model.spec.window_size
     x = series.window_input()
@@ -121,10 +183,24 @@ def series_probabilities(model: GruModel, series: CleanSeries) -> np.ndarray:
         )
     views = np.lib.stride_tricks.sliding_window_view(x, (window, 2))[:, 0]
     out = np.empty(len(views))
-    for lo in range(0, len(views), EVAL_CHUNK):
-        chunk = views[lo:lo + EVAL_CHUNK]
-        probs, _ = forward_batch(model, np.ascontiguousarray(chunk), need_cache=False)
+    workers = _trace_workers(model)
+    step = max(1, EVAL_CHUNK // workers)
+
+    def score(lo: int) -> None:
+        chunk = np.ascontiguousarray(views[lo:lo + step])
+        probs, _ = forward_batch(model, chunk, need_cache=False)
         out[lo:lo + len(chunk)] = probs[:, 1]
+
+    starts = range(0, len(views), step)
+    if workers == 1:
+        # On the calling thread: a one-worker pool started per series (HPO
+        # validation traces many short series) left whole `hpo` benchmark
+        # runs bimodal, about a quarter slower with 5-7 MB more peak memory.
+        for lo in starts:
+            score(lo)
+    else:
+        with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
+            list(pool.map(score, starts))
     return out
 
 
@@ -143,6 +219,11 @@ def detect_from_trace(trace: np.ndarray, threshold: float, consecutive: int = 1)
     return int(idx[0])
 
 
+def window_end(model: GruModel, pos: int | None) -> int | None:
+    """Series index of the last sample of trace entry ``pos`` (None stays None)."""
+    return None if pos is None else pos + model.spec.window_size - 1
+
+
 def detect_series(model: GruModel, series: CleanSeries, threshold: float,
                   consecutive: int = 1) -> int | None:
     """End index (into the series) of the first window opening a run of
@@ -150,10 +231,7 @@ def detect_series(model: GruModel, series: CleanSeries, threshold: float,
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"threshold must be in (0,1), got {threshold}")
     trace = series_probabilities(model, series)
-    pos = detect_from_trace(trace, threshold, consecutive)
-    if pos is None:
-        return None
-    return pos + model.spec.window_size - 1
+    return window_end(model, detect_from_trace(trace, threshold, consecutive))
 
 
 def evaluate_dataset(model: GruModel, series_list: list[CleanSeries], threshold: float,
@@ -168,7 +246,6 @@ def evaluate_dataset(model: GruModel, series_list: list[CleanSeries], threshold:
         raise EmptyEvaluation("no series to evaluate")
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"threshold must be in (0,1), got {threshold}")
-    window = model.spec.window_size
     confusion = ConfusionCounts()
     outcomes = []
     for series in series_list:
@@ -178,8 +255,7 @@ def evaluate_dataset(model: GruModel, series_list: list[CleanSeries], threshold:
             trace = series_probabilities(model, series)
             if traces is not None:
                 traces[series.id] = trace
-        pos = detect_from_trace(trace, threshold, consecutive)
-        detection = None if pos is None else pos + window - 1
+        detection = window_end(model, detect_from_trace(trace, threshold, consecutive))
         detected = detection is not None
         is_syncope = series.label is Label.SYNCOPE
         if is_syncope:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NoActivationCache
 
 PROB_FLOOR = 1e-12
 
@@ -214,7 +214,8 @@ class _ScanCache:
 def _scan(x_seq: np.ndarray, dp: DirectionParams, need_cache: bool) -> _ScanCache:
     B, T, D = x_seq.shape
     H = dp.units
-    xp = (x_seq.reshape(B * T, D) @ dp.wx).reshape(B, T, 3 * H) + dp.b
+    xp = (x_seq.reshape(B * T, D) @ dp.wx).reshape(B, T, 3 * H)
+    xp += dp.b
     hs = np.empty((B, T, H))
     if need_cache:
         zrs = np.empty((B, T, 2 * H))
@@ -285,15 +286,17 @@ def _scan_backward(dp: DirectionParams, cache: _ScanCache, d_hs: np.ndarray) -> 
 class ForwardCache:
     probs: np.ndarray          # (B, 2)
     feat: np.ndarray           # (B, feature_dim)
-    layer_caches: list[tuple[_ScanCache, _ScanCache | None]]
+    layer_caches: list[tuple[_ScanCache, _ScanCache | None]] | None  # None: inference only
 
 
 def forward_batch(model: GruModel, windows: np.ndarray, need_cache: bool = True) -> tuple[np.ndarray, ForwardCache]:
     """Run a batch of windows through the network.
 
     ``windows`` has shape (batch, window_size, input_channels). Returns
-    class probabilities (batch, 2) ordered (nosyncope, syncope) and the
-    activation cache needed by :func:`backward_batch`.
+    class probabilities (batch, 2) ordered (nosyncope, syncope) and a
+    cache. With ``need_cache=True`` the cache holds the activations that
+    :func:`backward_batch` needs; with ``need_cache=False`` (inference)
+    it keeps only ``probs`` and ``feat``, and ``backward_batch`` rejects it.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 3:
@@ -307,21 +310,24 @@ def forward_batch(model: GruModel, windows: np.ndarray, need_cache: bool = True)
     seq = windows
     layer_caches: list[tuple[_ScanCache, _ScanCache | None]] = []
     cache_f = cache_b = None
-    for layer in model.layers:
+    top = len(model.layers) - 1
+    for li, layer in enumerate(model.layers):
         cache_f = _scan(seq, layer.forward, need_cache)
+        cache_b = None
         if layer.backward is not None:
             cache_b = _scan(seq[:, ::-1], layer.backward, need_cache)
-            seq = np.concatenate([cache_f.hs, cache_b.hs[:, ::-1]], axis=2)
-        else:
-            cache_b = None
-            seq = cache_f.hs
-        layer_caches.append((cache_f, cache_b))
+        if li < top:  # the top layer's sequence is never read, only its final states
+            seq = (cache_f.hs if cache_b is None
+                   else np.concatenate([cache_f.hs, cache_b.hs[:, ::-1]], axis=2))
+        if need_cache:
+            layer_caches.append((cache_f, cache_b))
     if cache_b is not None:
         feat = np.concatenate([cache_f.hs[:, -1], cache_b.hs[:, -1]], axis=1)
     else:
         feat = cache_f.hs[:, -1]
     probs = softmax(feat @ model.head.w + model.head.b)
-    return probs, ForwardCache(probs=probs, feat=feat, layer_caches=layer_caches)
+    return probs, ForwardCache(probs=probs, feat=feat,
+                               layer_caches=layer_caches if need_cache else None)
 
 
 def forward_sequence(window: np.ndarray, model: GruModel) -> tuple[np.ndarray, ForwardCache]:
@@ -346,6 +352,11 @@ def batch_loss(probs: np.ndarray, targets: np.ndarray) -> float:
 
 def backward_batch(model: GruModel, cache: ForwardCache, targets: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of the mean cross-entropy over the batch, by parameter name."""
+    if cache.layer_caches is None:
+        raise NoActivationCache(
+            "backward_batch needs the activations of forward_batch(need_cache=True); "
+            "this cache was made with need_cache=False"
+        )
     targets = np.asarray(targets, dtype=int)
     B = cache.probs.shape[0]
     grads: dict[str, np.ndarray] = {}

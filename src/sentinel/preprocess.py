@@ -110,12 +110,6 @@ class DropReport:
     def add(self, stage: str, rid: str, reason: str) -> None:
         self.drops.append((stage, rid, reason))
 
-    def per_stage(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for stage, _, _ in self.drops:
-            out[stage] = out.get(stage, 0) + 1
-        return out
-
     def survivor_count(self) -> int:
         return self.input_count - len(self.drops)
 

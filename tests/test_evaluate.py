@@ -3,6 +3,9 @@ and report persistence."""
 
 import csv
 import json
+import os
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -35,6 +38,18 @@ def make_series(sid, label, length=400, marker=None, seed=0):
 def tiny_model(window=100):
     return nn.init_params(
         nn.ModelSpec(1, [4], bidirectional=False, window_size=window), seed=0)
+
+
+def wide_model(window=12):
+    """Two bidirectional layers wide enough for the trace to use the pool."""
+    units = [evaluate.POOL_MIN_UNITS, evaluate.POOL_MIN_UNITS + 8]
+    return nn.init_params(
+        nn.ModelSpec(2, units, bidirectional=True, window_size=window), seed=2)
+
+
+def trace_on(monkeypatch, workers, model, series):
+    monkeypatch.setattr(evaluate, "_trace_workers", lambda m: workers)
+    return evaluate.series_probabilities(model, series)
 
 
 class TestMetrics:
@@ -133,6 +148,82 @@ class TestSeriesProbabilities:
         assert evaluate.detect_series(model, s, 0.8) == 40 + 99
         with pytest.raises(ConfigError):
             evaluate.detect_series(model, s, 1.5)
+
+
+class TestPooledTrace:
+    # 389 windows: chunks of 128 (2 workers), 85 (3) and 32 (8) all end
+    # in a partial chunk
+    LENGTH = 400
+
+    def series(self):
+        return make_series("p", Label.SYNCOPE, length=self.LENGTH, seed=4)
+
+    def test_worker_count_follows_width(self):
+        narrow = nn.init_params(nn.ModelSpec(
+            2, [evaluate.POOL_MIN_UNITS - 1] * 2, bidirectional=True, window_size=12), seed=2)
+        assert evaluate._trace_workers(narrow) == 1
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count())
+        want = cpus if evaluate._openblas() is not None else 1
+        assert evaluate._trace_workers(wide_model()) == want
+
+    def test_pooled_equals_one_worker_bitwise(self, monkeypatch):
+        model, s = wide_model(), self.series()
+        serial = trace_on(monkeypatch, 1, model, s)
+        for workers in (2, 3):
+            assert np.array_equal(trace_on(monkeypatch, workers, model, s), serial)
+
+    def test_stress_many_workers_short_switch_interval(self, monkeypatch):
+        model, s = wide_model(), self.series()
+        serial = trace_on(monkeypatch, 1, model, s)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs, deadline = 0, time.monotonic() + 2.0
+            while runs < 3 or (time.monotonic() < deadline and runs < 20):
+                assert np.array_equal(trace_on(monkeypatch, 8, model, s), serial)
+                runs += 1
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_matches_forward_sequence_at_chunk_edges(self, monkeypatch):
+        model, s = wide_model(), self.series()
+        window = model.spec.window_size
+        trace = trace_on(monkeypatch, 2, model, s)
+        step = evaluate.EVAL_CHUNK // 2
+        x = s.window_input()
+        edges = [0, step - 1, step, 2 * step - 1, 2 * step, 3 * step - 1, 3 * step,
+                 len(trace) - 1]
+        for i in edges:
+            probs, _ = nn.forward_sequence(x[i:i + window], model)
+            assert_allclose(trace[i], probs[1], rtol=0, atol=1e-12)
+
+    def test_blas_threads_restored(self, monkeypatch):
+        blas = evaluate._openblas()
+        if blas is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        get, _ = blas
+        model, s = wide_model(), self.series()
+        before = get()
+        seen = []
+        real = evaluate.forward_batch
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "forward_batch", spy)
+        trace_on(monkeypatch, 2, model, s)
+        assert set(seen) == {1}
+        assert get() == before
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(evaluate, "forward_batch", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            trace_on(monkeypatch, 2, model, s)
+        assert get() == before
 
 
 def patched_eval(monkeypatch, traces_by_id):

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.special import expit
 
 from sentinel import nn
-from sentinel.errors import DimensionMismatch
+from sentinel.errors import DimensionMismatch, NoActivationCache
 
 
 def scalar_cell(x, h, params):
@@ -251,6 +251,14 @@ class TestGradients:
         for name in batch_grads:
             mean = sum(s[name] for s in singles) / 4.0
             assert_allclose(batch_grads[name], mean, atol=1e-12)
+
+    def test_inference_cache_rejected_by_name(self):
+        spec = nn.ModelSpec(2, [5, 4], bidirectional=True, window_size=6)
+        model = nn.init_params(spec, seed=9)
+        windows = np.random.default_rng(3).normal(size=(2, 6, 2))
+        _, cache = nn.forward_batch(model, windows, need_cache=False)
+        with pytest.raises(NoActivationCache, match="need_cache=False"):
+            nn.backward_batch(model, cache, np.array([0, 1]))
 
     def test_loss_values(self):
         assert nn.cross_entropy_loss(np.array([0.25, 0.75]), 1) == pytest.approx(-np.log(0.75))
