@@ -12,15 +12,30 @@ Bidirectional layers feed the next layer the per-step concatenation of the
 forward and (time-aligned) backward outputs; the classification head reads
 the forward final state concatenated with the backward final state.
 
+Storage: a layer holds its directions stacked on a leading axis of size
+n_dir (2 when bidirectional, else 1), forward first: ``wx`` (n_dir, D, 3H),
+``u_zr`` (n_dir, H, 2H), ``u_c`` (n_dir, H, H), ``b`` (n_dir, 3H).
+``GruModel.parameters`` names each direction's contiguous slice
+(``layer{i}.fwd.*``, ``layer{i}.bwd.*``), so optimizer state, gradients and
+checkpoints stay per direction. The backward direction's input is reversed
+in time once, before the loop; one time loop then advances every direction
+with leading-axis matmuls. Forward-only models run the same code with
+n_dir = 1. Scans are time-major, (n_dir, T, batch, ...).
+
+Reduction order: BPTT's sums over rows, d_wx = x^T d_pre and
+d_b = sum(d_pre), take the rows in (batch, time) order. Float sums depend on
+their order, so any other order would change the trained weights.
+
 All arithmetic is float64; batched kernels keep the per-step work to two
-small matmuls and one sigmoid (on the fused z|r pre-activation) per
-direction so CPU training stays fast. The sigmoid is taken in tanh form,
-which cannot overflow at any input and needs no sign masks.
+small matmuls and one sigmoid (on the fused z|r pre-activation) for all
+directions together so CPU training stays fast. The sigmoid is taken in
+tanh form, which cannot overflow at any input and needs no sign masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from copy import deepcopy
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -58,46 +73,67 @@ class ModelSpec:
         if any(u < 1 for u in self.units) or self.window_size < 1:
             raise ValueError("units and window_size must be positive")
 
+    @property
+    def n_dir(self) -> int:
+        """Directions per layer: 2 when bidirectional, else 1."""
+        return 2 if self.bidirectional else 1
+
     def feature_dim(self) -> int:
-        top = self.units[-1]
-        return 2 * top if self.bidirectional else top
+        return self.n_dir * self.units[-1]
+
+
+DIRECTIONS = ("fwd", "bwd")  # parameter-name tags of a layer's stacked directions
 
 
 @dataclass
-class DirectionParams:
-    """One direction of one GRU layer, with fused gate storage.
+class GruLayer:
+    """One GRU layer with fused gate storage, its directions stacked on
+    the leading axis (forward first, then backward when bidirectional).
 
     ``wx`` holds the input weights of all three gates as columns [z|r|c],
     ``u_zr`` the recurrent weights of the z and r gates, ``u_c`` the
     candidate's recurrent weights, ``b`` the three gate biases.
     """
 
-    wx: np.ndarray    # (input_dim, 3*units)
-    u_zr: np.ndarray  # (units, 2*units)
-    u_c: np.ndarray   # (units, units)
-    b: np.ndarray     # (3*units,)
+    wx: np.ndarray    # (n_dir, input_dim, 3*units)
+    u_zr: np.ndarray  # (n_dir, units, 2*units)
+    u_c: np.ndarray   # (n_dir, units, units)
+    b: np.ndarray     # (n_dir, 3*units)
+
+    @classmethod
+    def from_gates(cls, directions) -> "GruLayer":
+        """Fuse per-direction (W, U, b) lists of per-gate arrays, gates in
+        z, r, c order: W (input_dim, units), U (units, units), b (units,)."""
+        return cls(
+            wx=np.array([np.concatenate(w, axis=1) for w, _, _ in directions]),
+            u_zr=np.array([np.concatenate(u[:2], axis=1) for _, u, _ in directions]),
+            u_c=np.array([u[2] for _, u, _ in directions]),
+            b=np.array([np.concatenate(b) for _, _, b in directions]),
+        )
+
+    @property
+    def n_dir(self) -> int:
+        return self.wx.shape[0]
 
     @property
     def units(self) -> int:
-        return self.u_c.shape[0]
+        return self.u_c.shape[1]
 
-    @property
-    def input_dim(self) -> int:
-        return self.wx.shape[0]
+    def named(self, i: int) -> list[tuple[str, np.ndarray]]:
+        """``layer{i}.{fwd|bwd}.{wx|u_zr|u_c|b}`` with the live, contiguous
+        per-direction slice of each array, directions first."""
+        return [(f"layer{i}.{tag}.{f.name}", getattr(self, f.name)[k])
+                for k, tag in enumerate(DIRECTIONS[:self.n_dir])
+                for f in fields(self)]
 
-    def gate_weights(self, gate: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-gate (W, U, b) in the conventional (units x input_dim) layout."""
+    def gate_weights(self, k: int, gate: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Direction ``k``'s per-gate (W, U, b) in the conventional
+        (units x input_dim) layout."""
         h = self.units
-        k = {"z": 0, "r": 1, "c": 2}[gate]
-        w = self.wx[:, k * h:(k + 1) * h].T
-        u = self.u_c.T if gate == "c" else self.u_zr[:, k * h:(k + 1) * h].T
-        return w, u, self.b[k * h:(k + 1) * h]
-
-
-@dataclass
-class GruLayerParams:
-    forward: DirectionParams
-    backward: DirectionParams | None = None
+        g = {"z": 0, "r": 1, "c": 2}[gate]
+        w = self.wx[k, :, g * h:(g + 1) * h].T
+        u = self.u_c[k].T if gate == "c" else self.u_zr[k, :, g * h:(g + 1) * h].T
+        return w, u, self.b[k, g * h:(g + 1) * h]
 
 
 @dataclass
@@ -109,56 +145,19 @@ class DenseSoftmaxHead:
 @dataclass
 class GruModel:
     spec: ModelSpec
-    layers: list[GruLayerParams]
+    layers: list[GruLayer]
     head: DenseSoftmaxHead
     init_seed: int = 0
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         """Named live references to every parameter array, canonical order."""
-        out = []
-        for i, layer in enumerate(self.layers):
-            dirs = [("fwd", layer.forward)]
-            if layer.backward is not None:
-                dirs.append(("bwd", layer.backward))
-            for tag, d in dirs:
-                prefix = f"layer{i}.{tag}"
-                out.append((f"{prefix}.wx", d.wx))
-                out.append((f"{prefix}.u_zr", d.u_zr))
-                out.append((f"{prefix}.u_c", d.u_c))
-                out.append((f"{prefix}.b", d.b))
+        out = [p for i, layer in enumerate(self.layers) for p in layer.named(i)]
         out.append(("head.w", self.head.w))
         out.append(("head.b", self.head.b))
         return out
 
     def copy(self) -> "GruModel":
-        layers = []
-        for layer in self.layers:
-            fwd = DirectionParams(
-                layer.forward.wx.copy(), layer.forward.u_zr.copy(),
-                layer.forward.u_c.copy(), layer.forward.b.copy(),
-            )
-            bwd = None
-            if layer.backward is not None:
-                bwd = DirectionParams(
-                    layer.backward.wx.copy(), layer.backward.u_zr.copy(),
-                    layer.backward.u_c.copy(), layer.backward.b.copy(),
-                )
-            layers.append(GruLayerParams(fwd, bwd))
-        head = DenseSoftmaxHead(self.head.w.copy(), self.head.b.copy())
-        return GruModel(spec=self.spec, layers=layers, head=head, init_seed=self.init_seed)
-
-
-def _init_direction(rng: np.random.Generator, input_dim: int, units: int) -> DirectionParams:
-    bw = np.sqrt(6.0 / (input_dim + units))
-    bu = np.sqrt(6.0 / (units + units))
-    gates_w = [rng.uniform(-bw, bw, size=(input_dim, units)) for _ in range(3)]
-    gates_u = [rng.uniform(-bu, bu, size=(units, units)) for _ in range(3)]
-    return DirectionParams(
-        wx=np.concatenate(gates_w, axis=1),
-        u_zr=np.concatenate(gates_u[:2], axis=1),
-        u_c=gates_u[2],
-        b=np.zeros(3 * units),
-    )
+        return deepcopy(self)
 
 
 def init_params(spec: ModelSpec, seed: int) -> GruModel:
@@ -171,112 +170,110 @@ def init_params(spec: ModelSpec, seed: int) -> GruModel:
     rng = np.random.default_rng(seed)
     layers = []
     input_dim = spec.input_channels
-    for li in range(spec.num_layers):
-        units = spec.units[li]
-        fwd = _init_direction(rng, input_dim, units)
-        bwd = _init_direction(rng, input_dim, units) if spec.bidirectional else None
-        layers.append(GruLayerParams(fwd, bwd))
-        input_dim = 2 * units if spec.bidirectional else units
+    for units in spec.units:
+        bw = np.sqrt(6.0 / (input_dim + units))
+        bu = np.sqrt(6.0 / (units + units))
+        directions = []
+        for _ in range(spec.n_dir):
+            w = [rng.uniform(-bw, bw, size=(input_dim, units)) for _ in range(3)]
+            u = [rng.uniform(-bu, bu, size=(units, units)) for _ in range(3)]
+            directions.append((w, u, [np.zeros(units)] * 3))
+        layers.append(GruLayer.from_gates(directions))
+        input_dim = spec.n_dir * units
     feat = spec.feature_dim()
     bh = np.sqrt(6.0 / (feat + 2))
     head = DenseSoftmaxHead(w=rng.uniform(-bh, bh, size=(feat, 2)), b=np.zeros(2))
     return GruModel(spec=spec, layers=layers, head=head, init_seed=seed)
 
 
-def gru_cell_forward(x: np.ndarray, h: np.ndarray, params: DirectionParams) -> np.ndarray:
-    """Single GRU cell step on vectors; the reference (unbatched) path."""
-    x = np.asarray(x, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if x.shape != (params.input_dim,) or h.shape != (params.units,):
-        raise DimensionMismatch(
-            f"expected x{(params.input_dim,)}, h{(params.units,)}; "
-            f"got x{x.shape}, h{h.shape}"
-        )
-    n = params.units
-    pre = x @ params.wx + params.b
-    zr = sigmoid(pre[:2 * n] + h @ params.u_zr)
-    z, r = zr[:n], zr[n:]
-    c = np.tanh(pre[2 * n:] + (r * h) @ params.u_c)
-    return (1.0 - z) * h + z * c
-
-
 # --- batched scan over time -----------------------------------------------------
+
+
+def _time_aligned(seqs) -> list[np.ndarray]:
+    """Per-direction sequences (time on their first axis) with the backward
+    one reversed in time: maps natural time to each direction's processing
+    order, and back."""
+    return [s[::(-1) ** k] for k, s in enumerate(seqs)]
 
 
 @dataclass
 class _ScanCache:
-    x_seq: np.ndarray  # (B, T, D) in processing order
-    zrs: np.ndarray | None  # (B, T, 2H) update|reset gates
-    cs: np.ndarray | None
-    hs: np.ndarray     # (B, T, H) emitted states in processing order
+    seq: np.ndarray | None  # (T, B, D) input in natural time; None: inference
+    zrs: np.ndarray | None  # (n_dir, T, B, 2H) update|reset gates
+    cs: np.ndarray | None   # (n_dir, T, B, H) candidates
+    hs: np.ndarray          # (n_dir, T, B, H) emitted states in processing order
 
 
-def _scan(x_seq: np.ndarray, dp: DirectionParams, need_cache: bool) -> _ScanCache:
-    B, T, D = x_seq.shape
-    H = dp.units
-    xp = (x_seq.reshape(B * T, D) @ dp.wx).reshape(B, T, 3 * H)
-    xp += dp.b
-    hs = np.empty((B, T, H))
+def _scan(seq: np.ndarray, layer: GruLayer, need_cache: bool) -> _ScanCache:
+    """Run every direction of ``layer`` over the time-major sequence
+    ``seq`` (T, B, D), all of them in one time loop."""
+    T, B, D = seq.shape
+    n, H = layer.n_dir, layer.units
+    # One (T*B, D) @ (D, 3H) product per direction, into one buffer: no
+    # stacked copy of the input is made. A product split over time can
+    # round differently (OpenBLAS picks its kernels by shape).
+    xp = np.empty((n, T, B, 3 * H))
+    for k, x in enumerate(_time_aligned([seq] * n)):
+        np.matmul(x.reshape(T * B, D), layer.wx[k], out=xp[k].reshape(T * B, 3 * H))
+    xp += layer.b[:, None, None]
+    hs = np.empty((n, T, B, H))
     if need_cache:
-        zrs = np.empty((B, T, 2 * H))
-        cs = np.empty((B, T, H))
-    h = np.zeros((B, H))
+        zrs = np.empty((n, T, B, 2 * H))
+        cs = np.empty((n, T, B, H))
+    h = np.zeros((n, B, H))
     for t in range(T):
-        zr = sigmoid(xp[:, t, :2 * H] + h @ dp.u_zr)
-        z, r = zr[:, :H], zr[:, H:]
-        c = np.tanh(xp[:, t, 2 * H:] + (r * h) @ dp.u_c)
+        zr = sigmoid(xp[:, t, :, :2 * H] + h @ layer.u_zr)
+        z, r = zr[..., :H], zr[..., H:]
+        c = np.tanh(xp[:, t, :, 2 * H:] + (r * h) @ layer.u_c)
         h = (1.0 - z) * h + z * c
         hs[:, t] = h
         if need_cache:
             zrs[:, t] = zr
             cs[:, t] = c
     if not need_cache:
-        zrs = cs = None
-    return _ScanCache(x_seq=x_seq, zrs=zrs, cs=cs, hs=hs)
+        seq = zrs = cs = None
+    return _ScanCache(seq=seq, zrs=zrs, cs=cs, hs=hs)
 
 
-@dataclass
-class _DirGrads:
-    wx: np.ndarray
-    u_zr: np.ndarray
-    u_c: np.ndarray
-    b: np.ndarray
-
-
-def _scan_backward(dp: DirectionParams, cache: _ScanCache, d_hs: np.ndarray) -> tuple[_DirGrads, np.ndarray]:
+def _scan_backward(layer: GruLayer, cache: _ScanCache, d_hs: np.ndarray) -> tuple[GruLayer, np.ndarray]:
     """Exact BPTT through one scan. ``d_hs`` is the gradient w.r.t. every
-    emitted state in processing order; returns parameter gradients and the
-    gradient w.r.t. the scanned input sequence."""
-    B, T, H = cache.hs.shape
-    D = dp.input_dim
-    zeros = np.zeros((B, H))
-    d_pre = np.empty((B, T, 3 * H))
-    du_zr = np.zeros_like(dp.u_zr)
-    du_c = np.zeros_like(dp.u_c)
-    dh = np.zeros((B, H))
-    u_c_t, u_zr_t = dp.u_c.T, dp.u_zr.T
+    emitted state in processing order; returns the parameter gradients,
+    stacked like ``layer``, and the gradient w.r.t. the scanned input
+    sequence in processing order, (n_dir, T, B, D)."""
+    n, T, B, H = cache.hs.shape
+    D = cache.seq.shape[-1]
+    zeros = np.zeros((n, B, H))
+    d_pre = np.empty((n, T, B, 3 * H))
+    du_zr = np.zeros_like(layer.u_zr)
+    du_c = np.zeros_like(layer.u_c)
+    dh = np.zeros((n, B, H))
+    u_c_t, u_zr_t = layer.u_c.transpose(0, 2, 1), layer.u_zr.transpose(0, 2, 1)
     for t in range(T - 1, -1, -1):
         h_prev = cache.hs[:, t - 1] if t > 0 else zeros
-        z, r = cache.zrs[:, t, :H], cache.zrs[:, t, H:]
+        z, r = cache.zrs[:, t, :, :H], cache.zrs[:, t, :, H:]
         c = cache.cs[:, t]
         dht = d_hs[:, t] + dh
         dc_pre = (dht * z) * (1.0 - c * c)
         d_rh = dc_pre @ u_c_t
         dz_pre = (dht * (c - h_prev)) * z * (1.0 - z)
         dr_pre = (d_rh * h_prev) * r * (1.0 - r)
-        d_pre[:, t, :H] = dz_pre
-        d_pre[:, t, H:2 * H] = dr_pre
-        d_pre[:, t, 2 * H:] = dc_pre
-        d_zr = d_pre[:, t, :2 * H]
+        d_pre[:, t, :, :H] = dz_pre
+        d_pre[:, t, :, H:2 * H] = dr_pre
+        d_pre[:, t, :, 2 * H:] = dc_pre
+        d_zr = d_pre[:, t, :, :2 * H]
         dh = dht * (1.0 - z) + d_rh * r + d_zr @ u_zr_t
         if t > 0:
-            du_zr += h_prev.T @ d_zr
-            du_c += (r * h_prev).T @ dc_pre
-    flat = d_pre.reshape(B * T, 3 * H)
-    d_wx = cache.x_seq.reshape(B * T, D).T @ flat
-    d_b = flat.sum(axis=0)
-    d_x = (flat @ dp.wx.T).reshape(B, T, D)
-    return _DirGrads(wx=d_wx, u_zr=du_zr, u_c=du_c, b=d_b), d_x
+            du_zr += h_prev.transpose(0, 2, 1) @ d_zr
+            du_c += (r * h_prev).transpose(0, 2, 1) @ dc_pre
+    # The sums over rows take the rows in (batch, time) order: another
+    # order rounds differently and so changes the trained weights.
+    rows = d_pre.transpose(0, 2, 1, 3).reshape(n, B * T, 3 * H)
+    x_rows = np.stack([x.transpose(1, 0, 2) for x in _time_aligned([cache.seq] * n)])
+    x_rows = x_rows.reshape(n, B * T, D)
+    grads = GruLayer(wx=x_rows.transpose(0, 2, 1) @ rows, u_zr=du_zr, u_c=du_c,
+                     b=rows.sum(axis=1))
+    d_x = (d_pre.reshape(n, T * B, 3 * H) @ layer.wx.transpose(0, 2, 1)).reshape(n, T, B, D)
+    return grads, d_x
 
 
 # --- full model forward / backward ----------------------------------------------
@@ -286,7 +283,7 @@ def _scan_backward(dp: DirectionParams, cache: _ScanCache, d_hs: np.ndarray) -> 
 class ForwardCache:
     probs: np.ndarray          # (B, 2)
     feat: np.ndarray           # (B, feature_dim)
-    layer_caches: list[tuple[_ScanCache, _ScanCache | None]] | None  # None: inference only
+    layer_caches: list[_ScanCache] | None  # None: inference only
 
 
 def forward_batch(model: GruModel, windows: np.ndarray, need_cache: bool = True) -> tuple[np.ndarray, ForwardCache]:
@@ -307,24 +304,17 @@ def forward_batch(model: GruModel, windows: np.ndarray, need_cache: bool = True)
             f"expected (*, {spec.window_size}, {spec.input_channels}) windows, "
             f"got {windows.shape}"
         )
-    seq = windows
-    layer_caches: list[tuple[_ScanCache, _ScanCache | None]] = []
-    cache_f = cache_b = None
+    seq = windows.transpose(1, 0, 2)  # time-major
+    layer_caches: list[_ScanCache] = []
     top = len(model.layers) - 1
     for li, layer in enumerate(model.layers):
-        cache_f = _scan(seq, layer.forward, need_cache)
-        cache_b = None
-        if layer.backward is not None:
-            cache_b = _scan(seq[:, ::-1], layer.backward, need_cache)
-        if li < top:  # the top layer's sequence is never read, only its final states
-            seq = (cache_f.hs if cache_b is None
-                   else np.concatenate([cache_f.hs, cache_b.hs[:, ::-1]], axis=2))
+        cache = _scan(seq, layer, need_cache)
         if need_cache:
-            layer_caches.append((cache_f, cache_b))
-    if cache_b is not None:
-        feat = np.concatenate([cache_f.hs[:, -1], cache_b.hs[:, -1]], axis=1)
-    else:
-        feat = cache_f.hs[:, -1]
+            layer_caches.append(cache)
+        if li < top:  # the top layer's sequence is never read, only its final states
+            seq = np.concatenate(_time_aligned(cache.hs), axis=-1)
+            del cache  # inference: frees the states before the next scan
+    feat = cache.hs[:, -1].transpose(1, 0, 2).reshape(len(windows), -1)
     probs = softmax(feat @ model.head.w + model.head.b)
     return probs, ForwardCache(probs=probs, feat=feat,
                                layer_caches=layer_caches if need_cache else None)
@@ -368,37 +358,16 @@ def backward_batch(model: GruModel, cache: ForwardCache, targets: np.ndarray) ->
     grads["head.b"] = d_logits.sum(axis=0)
     d_feat = d_logits @ model.head.w.T
 
-    d_seq = None  # gradient w.r.t. the next-lower layer's output sequence
+    # the head reads each direction's final state, the last in processing order
+    n = model.spec.n_dir
+    d_hs = np.zeros(cache.layer_caches[-1].hs.shape)
+    d_hs[:, -1] = d_feat.reshape(B, n, -1).transpose(1, 0, 2)
     for li in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[li]
-        cache_f, cache_b = cache.layer_caches[li]
-        H = layer.forward.units
-        B_, T, _ = cache_f.hs.shape
-        d_hs_f = np.zeros((B_, T, H))
-        d_hs_b = np.zeros((B_, T, H)) if cache_b is not None else None
-        if d_seq is not None:
-            d_hs_f += d_seq[:, :, :H]
-            if d_hs_b is not None:
-                d_hs_b += d_seq[:, :, H:][:, ::-1]
-        if li == len(model.layers) - 1:
-            d_hs_f[:, -1] += d_feat[:, :H]
-            if d_hs_b is not None:
-                d_hs_b[:, -1] += d_feat[:, H:]
-        g_f, d_x_f = _scan_backward(layer.forward, cache_f, d_hs_f)
-        prefix = f"layer{li}.fwd"
-        grads[f"{prefix}.wx"] = g_f.wx
-        grads[f"{prefix}.u_zr"] = g_f.u_zr
-        grads[f"{prefix}.u_c"] = g_f.u_c
-        grads[f"{prefix}.b"] = g_f.b
-        d_seq = d_x_f
-        if cache_b is not None:
-            g_b, d_x_b = _scan_backward(layer.backward, cache_b, d_hs_b)
-            prefix = f"layer{li}.bwd"
-            grads[f"{prefix}.wx"] = g_b.wx
-            grads[f"{prefix}.u_zr"] = g_b.u_zr
-            grads[f"{prefix}.u_c"] = g_b.u_c
-            grads[f"{prefix}.b"] = g_b.b
-            d_seq = d_seq + d_x_b[:, ::-1]
+        g, d_x = _scan_backward(model.layers[li], cache.layer_caches[li], d_hs)
+        grads.update(g.named(li))
+        if li > 0:  # split the gradient w.r.t. the lower layer's output by direction
+            d_seq = np.sum(_time_aligned(d_x), axis=0)
+            d_hs = np.stack(_time_aligned(np.split(d_seq, n, axis=-1)))
     return grads
 
 

@@ -31,8 +31,7 @@ from .errors import (
 from .nn import (
     AdadeltaState,
     DenseSoftmaxHead,
-    DirectionParams,
-    GruLayerParams,
+    GruLayer,
     GruModel,
     ModelSpec,
     adadelta_update,
@@ -230,17 +229,28 @@ def fit(split: SplitDataset, spec: ModelSpec, cfg: TrainConfig,
 # --- checkpoints -----------------------------------------------------------------
 
 
-def _direction_to_doc(d: DirectionParams) -> dict:
+# checkpoint keys of a layer's stacked directions, in order; a forward-only
+# layer stores "backward": null
+DIRECTION_KEYS = ("forward", "backward")
+
+
+def _direction_to_doc(layer: GruLayer, k: int) -> dict:
     doc = {}
     for gate in ("z", "r", "c"):
-        w, u, b = d.gate_weights(gate)
+        w, u, b = layer.gate_weights(k, gate)
         doc[f"w_{gate}"] = w.tolist()
         doc[f"u_{gate}"] = u.tolist()
         doc[f"b_{gate}"] = b.tolist()
     return doc
 
 
-def _direction_from_doc(doc: dict, input_dim: int, units: int) -> DirectionParams:
+def _layer_to_doc(layer: GruLayer) -> dict:
+    docs = [_direction_to_doc(layer, k) for k in range(layer.n_dir)]
+    return dict(zip(DIRECTION_KEYS, docs + [None]))
+
+
+def _direction_from_doc(doc: dict, input_dim: int, units: int) -> tuple[list, list, list]:
+    """One direction's per-gate (W, U, b) lists, as :meth:`GruLayer.from_gates` takes them."""
     ws, us, bs = [], [], []
     for gate in ("z", "r", "c"):
         w = np.asarray(doc[f"w_{gate}"], dtype=float)
@@ -254,12 +264,7 @@ def _direction_from_doc(doc: dict, input_dim: int, units: int) -> DirectionParam
         ws.append(w.T)
         us.append(u.T)
         bs.append(b)
-    return DirectionParams(
-        wx=np.concatenate(ws, axis=1),
-        u_zr=np.concatenate(us[:2], axis=1),
-        u_c=us[2],
-        b=np.concatenate(bs),
-    )
+    return ws, us, bs
 
 
 def save_checkpoint(model: GruModel, path, optimizer: AdadeltaState | None = None) -> None:
@@ -282,14 +287,7 @@ def save_checkpoint(model: GruModel, path, optimizer: AdadeltaState | None = Non
                 "input_channels": spec.input_channels,
             },
             "init_seed": model.init_seed,
-            "layers": [
-                {
-                    "forward": _direction_to_doc(layer.forward),
-                    "backward": (_direction_to_doc(layer.backward)
-                                 if layer.backward is not None else None),
-                }
-                for layer in model.layers
-            ],
+            "layers": [_layer_to_doc(layer) for layer in model.layers],
             "head": {"w": model.head.w.tolist(), "b": model.head.b.tolist()},
         },
         "optimizer": None,
@@ -336,16 +334,18 @@ def load_checkpoint(path, with_optimizer: bool = False):
         input_dim = spec.input_channels
         if len(mdoc["layers"]) != spec.num_layers:
             raise CorruptCheckpoint("layer count does not match spec")
+        needed = list(DIRECTION_KEYS[:spec.n_dir])
         for li, ldoc in enumerate(mdoc["layers"]):
             units = spec.units[li]
-            fwd = _direction_from_doc(ldoc["forward"], input_dim, units)
-            bwd = None
-            if spec.bidirectional:
-                if ldoc["backward"] is None:
-                    raise CorruptCheckpoint("bidirectional spec but no backward params")
-                bwd = _direction_from_doc(ldoc["backward"], input_dim, units)
-            layers.append(GruLayerParams(fwd, bwd))
-            input_dim = 2 * units if spec.bidirectional else units
+            held = [key for key in DIRECTION_KEYS if ldoc.get(key) is not None]
+            if held != needed:
+                raise CorruptCheckpoint(
+                    f"layer {li}: the spec needs {'+'.join(needed)} params, "
+                    f"the checkpoint holds {'+'.join(held) or 'none'}"
+                )
+            layers.append(GruLayer.from_gates(
+                [_direction_from_doc(ldoc[key], input_dim, units) for key in held]))
+            input_dim = spec.n_dir * units
         w = np.asarray(mdoc["head"]["w"], dtype=float)
         b = np.asarray(mdoc["head"]["b"], dtype=float)
         if w.shape != (spec.feature_dim(), 2) or b.shape != (2,):
@@ -365,7 +365,7 @@ def load_checkpoint(path, with_optimizer: bool = False):
             )
     except CorruptCheckpoint:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CorruptCheckpoint(f"malformed checkpoint {path}: {exc}") from exc
     if with_optimizer:
         return model, optimizer

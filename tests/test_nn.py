@@ -10,16 +10,32 @@ from sentinel import nn
 from sentinel.errors import DimensionMismatch, NoActivationCache
 
 
-def scalar_cell(x, h, params):
+def direction(layer, k):
+    """Direction ``k`` of a stacked layer as ``gru_cell_forward`` arguments."""
+    return layer.wx[k], layer.u_zr[k], layer.u_c[k], layer.b[k]
+
+
+def gru_cell_forward(x, h, wx, u_zr, u_c, b):
+    """One GRU step on vectors, for one direction's fused weights (slices
+    such as ``layer.wx[k]``): the unbatched oracle of ``nn._scan``."""
+    n = u_c.shape[0]
+    pre = x @ wx + b
+    zr = nn.sigmoid(pre[:2 * n] + h @ u_zr)
+    z, r = zr[:n], zr[n:]
+    c = np.tanh(pre[2 * n:] + (r * h) @ u_c)
+    return (1.0 - z) * h + z * c
+
+
+def scalar_cell(x, h, layer, k):
     """Independent per-element re-implementation of the GRU step.
 
     Deliberately written with explicit loops and per-gate weight views so a
     bookkeeping mistake in the fused kernel cannot hide in both places.
     """
-    n = params.units
-    wz, uz, bz = params.gate_weights("z")
-    wr, ur, br = params.gate_weights("r")
-    wc, uc, bc = params.gate_weights("c")
+    n = layer.units
+    wz, uz, bz = layer.gate_weights(k, "z")
+    wr, ur, br = layer.gate_weights(k, "r")
+    wc, uc, bc = layer.gate_weights(k, "c")
     z_vec = np.empty(n)
     r_vec = np.empty(n)
     for i in range(n):
@@ -67,72 +83,64 @@ class TestGruCell:
         for _ in range(5):
             spec = nn.ModelSpec(1, [6], bidirectional=False, window_size=4, input_channels=3)
             model = nn.init_params(spec, seed=int(rng.integers(1 << 30)))
-            params = model.layers[0].forward
             x = rng.normal(size=3)
             h = rng.normal(size=6)
-            got = nn.gru_cell_forward(x, h, params)
-            want = scalar_cell(x, h, params)
+            got = gru_cell_forward(x, h, *direction(model.layers[0], 0))
+            want = scalar_cell(x, h, model.layers[0], 0)
             assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_zero_weights_zero_state_fixed_point(self):
         spec = nn.ModelSpec(1, [5], bidirectional=False, window_size=4)
         model = nn.init_params(spec, seed=0)
-        params = model.layers[0].forward
-        params.wx[:] = 0.0
-        params.u_zr[:] = 0.0
-        params.u_c[:] = 0.0
-        params.b[:] = 0.0
+        params = direction(model.layers[0], 0)
+        for p in params:
+            p[:] = 0.0
         h = np.zeros(5)
         for x in np.random.default_rng(1).normal(size=(10, 2)):
-            h = nn.gru_cell_forward(x, h, params)
+            h = gru_cell_forward(x, h, *params)
             assert_allclose(h, np.zeros(5), atol=0)
 
     def test_saturated_update_gate_replaces_state(self):
         # with b_z huge, z ~= 1 and the new state is just the candidate
         rng = np.random.default_rng(3)
         spec = nn.ModelSpec(1, [5], bidirectional=False, window_size=4)
-        params = nn.init_params(spec, seed=9).layers[0].forward
-        params.b[:5] = 60.0
+        layer = nn.init_params(spec, seed=9).layers[0]
+        layer.b[0, :5] = 60.0
         x = rng.normal(size=2)
         h = rng.normal(size=5) * 0.5
-        got = nn.gru_cell_forward(x, h, params)
-        wr, ur, br = params.gate_weights("r")
+        got = gru_cell_forward(x, h, *direction(layer, 0))
+        wr, ur, br = layer.gate_weights(0, "r")
         r = 1.0 / (1.0 + np.exp(-(wr @ x + ur @ h + br)))
-        wc, uc, bc = params.gate_weights("c")
+        wc, uc, bc = layer.gate_weights(0, "c")
         want = np.tanh(wc @ x + uc @ (r * h) + bc)
         assert_allclose(got, want, atol=1e-12)
 
     def test_state_stays_bounded(self):
         rng = np.random.default_rng(11)
         spec = nn.ModelSpec(1, [8], bidirectional=False, window_size=4)
-        params = nn.init_params(spec, seed=2).layers[0].forward
+        params = direction(nn.init_params(spec, seed=2).layers[0], 0)
         h = np.zeros(8)
         for _ in range(500):
-            h = nn.gru_cell_forward(rng.normal(size=2) * 3, h, params)
+            h = gru_cell_forward(rng.normal(size=2) * 3, h, *params)
             assert np.all(np.abs(h) < 1.0)
-
-    def test_dimension_mismatch(self):
-        spec = nn.ModelSpec(1, [5], bidirectional=False, window_size=4)
-        params = nn.init_params(spec, seed=0).layers[0].forward
-        with pytest.raises(DimensionMismatch):
-            nn.gru_cell_forward(np.zeros(3), np.zeros(5), params)
-        with pytest.raises(DimensionMismatch):
-            nn.gru_cell_forward(np.zeros(2), np.zeros(4), params)
 
 
 class TestForward:
     def test_scan_agrees_with_cell_steps(self):
+        # the backward direction steps through the window from its end
         rng = np.random.default_rng(21)
-        spec = nn.ModelSpec(1, [7], bidirectional=False, window_size=9)
-        model = nn.init_params(spec, seed=5)
-        params = model.layers[0].forward
         x = rng.normal(size=(3, 9, 2))
-        cache = nn._scan(x, params, need_cache=True)
-        for b in range(3):
-            h = np.zeros(7)
-            for t in range(9):
-                h = nn.gru_cell_forward(x[b, t], h, params)
-                assert_allclose(cache.hs[b, t], h, atol=1e-12)
+        for bidir in (False, True):
+            spec = nn.ModelSpec(1, [7], bidirectional=bidir, window_size=9)
+            layer = nn.init_params(spec, seed=5).layers[0]
+            cache = nn._scan(x.transpose(1, 0, 2), layer, need_cache=True)
+            for k in range(layer.n_dir):
+                for b in range(3):
+                    h = np.zeros(7)
+                    for t in range(9):
+                        h = gru_cell_forward(x[b, t if k == 0 else 8 - t], h,
+                                             *direction(layer, k))
+                        assert_allclose(cache.hs[k, t, b], h, atol=1e-12)
 
     def test_probabilities_normalized(self):
         rng = np.random.default_rng(4)
@@ -159,9 +167,9 @@ class TestForward:
         rng = np.random.default_rng(13)
         spec = nn.ModelSpec(1, [6], bidirectional=True, window_size=9)
         model = nn.init_params(spec, seed=17)
-        f = model.layers[0].forward
-        model.layers[0].backward = nn.DirectionParams(
-            f.wx.copy(), f.u_zr.copy(), f.u_c.copy(), f.b.copy())
+        layer = model.layers[0]
+        for p in (layer.wx, layer.u_zr, layer.u_c, layer.b):
+            p[1] = p[0]
         half = rng.normal(size=(2, 4, 2))
         mid = rng.normal(size=(2, 1, 2))
         window = np.concatenate([half, mid, half[:, ::-1]], axis=1)
@@ -220,6 +228,7 @@ class TestGradients:
         (1, [8], False),
         (2, [8, 8], False),
         (2, [8, 8], True),
+        (3, [6, 10, 4], True),  # unequal widths: every layer's input dim differs
     ])
     def test_backward_matches_finite_differences(self, num_layers, units, bidir):
         rng = np.random.default_rng(100 + num_layers + int(bidir))
@@ -293,22 +302,43 @@ class TestInit:
 
     def test_fan_bounds_respected(self):
         spec = nn.ModelSpec(1, [16], bidirectional=False, window_size=10, input_channels=2)
-        model = nn.init_params(spec, seed=5)
-        params = model.layers[0].forward
+        layer = nn.init_params(spec, seed=5).layers[0]
         bound_w = np.sqrt(6.0 / (2 + 16))
         bound_u = np.sqrt(6.0 / 32)
-        assert np.max(np.abs(params.wx)) <= bound_w
-        assert np.max(np.abs(params.u_zr)) <= bound_u
-        assert np.max(np.abs(params.u_c)) <= bound_u
+        assert np.max(np.abs(layer.wx)) <= bound_w
+        assert np.max(np.abs(layer.u_zr)) <= bound_u
+        assert np.max(np.abs(layer.u_c)) <= bound_u
         # spread sanity: values actually fill the range
-        assert np.max(np.abs(params.wx)) > 0.5 * bound_w
+        assert np.max(np.abs(layer.wx)) > 0.5 * bound_w
 
     def test_copy_is_deep(self):
         spec = nn.ModelSpec(1, [4], bidirectional=True, window_size=6)
         model = nn.init_params(spec, seed=1)
         clone = model.copy()
-        clone.layers[0].forward.wx[:] = 0.0
-        assert np.any(model.layers[0].forward.wx != 0.0)
+        for (name, p), (_, q) in zip(model.parameters(), clone.parameters()):
+            if name.endswith(".b"):
+                continue  # biases start at zero
+            q[:] = 0.0
+            assert np.any(p != 0.0), name
+
+    def test_parameters_are_live_views_of_the_stacked_arrays(self):
+        # ADADELTA updates the parameters() entries in place, so each must
+        # be the memory the scans read
+        spec = nn.ModelSpec(2, [5, 3], bidirectional=True, window_size=6)
+        model = nn.init_params(spec, seed=4)
+        names = [name for name, _ in model.parameters()]
+        assert names[:8] == [f"layer0.{d}.{a}" for d in ("fwd", "bwd")
+                             for a in ("wx", "u_zr", "u_c", "b")]
+        for name, p in model.parameters()[:-2]:
+            layer_i, tag, attr = name.split(".")
+            stacked = getattr(model.layers[int(layer_i[5:])], attr)
+            assert p.flags.c_contiguous, name
+            assert np.shares_memory(p, stacked[nn.DIRECTIONS.index(tag)]), name
+        state = nn.AdadeltaState.for_model(model)
+        before = model.layers[1].u_c.copy()
+        grads = {n: np.ones_like(p) for n, p in model.parameters()}
+        nn.adadelta_update(model, grads, state)
+        assert np.all(model.layers[1].u_c < before)
 
 
 class TestAdadelta:

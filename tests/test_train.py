@@ -290,6 +290,47 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpoint):
             train.load_checkpoint(path)
 
+    def test_forward_only_spec_with_backward_params_corrupt(self, tmp_path):
+        import json
+        model = nn.init_params(tiny_spec(), seed=1)
+        path = tmp_path / "m.ckpt"
+        train.save_checkpoint(model, path)
+        doc = json.loads(path.read_text())
+        layer = doc["model"]["layers"][0]
+        assert layer["backward"] is None
+        layer["backward"] = layer["forward"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptCheckpoint, match="layer 0"):
+            train.load_checkpoint(path)
+
+    def test_bidirectional_spec_without_backward_params_corrupt(self, tmp_path):
+        import json
+        spec = nn.ModelSpec(2, [3, 2], bidirectional=True, window_size=5)
+        path = tmp_path / "m.ckpt"
+        train.save_checkpoint(nn.init_params(spec, seed=1), path)
+        doc = json.loads(path.read_text())
+        doc["model"]["layers"][1]["backward"] = None
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptCheckpoint, match="layer 1"):
+            train.load_checkpoint(path)
+
+    def test_golden_bytes(self, tmp_path):
+        # format v1, the parameter names and the init sampling order, pinned:
+        # init and ADADELTA use no BLAS and JSON writes floats by repr, so
+        # these bytes are the same on every machine
+        import hashlib
+        spec = nn.ModelSpec(2, [5, 4], bidirectional=True, window_size=30)
+        model = nn.init_params(spec, seed=11)
+        state = nn.AdadeltaState.for_model(model, rho=0.9, lr_multiplier=0.7,
+                                           lr_decay=0.99)
+        rng = np.random.default_rng(3)
+        grads = {n: rng.normal(size=p.shape) for n, p in model.parameters()}
+        nn.adadelta_update(model, grads, state)
+        path = tmp_path / "model.ckpt"
+        train.save_checkpoint(model, path, optimizer=state)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "b3cec0e2fa7c77c818456a98bf3c4130427d2aa85f91824de43a209b13d3e7bb")
+
     def test_non_checkpoint_file(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text('{"hello": "world"}')
