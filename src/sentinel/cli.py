@@ -3,11 +3,13 @@ seeded runs.
 
 Settings resolve in fixed order: built-in defaults, then an INI config
 file (section ``[global]`` plus one section per command), then command
-flags — later sources win. Unknown sections or keys are rejected by name.
-Each run writes all of its outputs plus a ``run.json`` provenance record
-(command, resolved settings, seed, timings, versions) into one run
-directory and never writes anywhere else; :func:`replay_run` re-executes
-a recorded run and reproduces those outputs byte for byte.
+flags — later sources win. A setting that feeds a library config field
+or function parameter takes its type and default from there. Unknown
+sections or keys are rejected by name. Each run writes all of its
+outputs plus a ``run.json`` provenance record (command, resolved
+settings, seed, timings, versions) into one run directory and never
+writes anywhere else; :func:`replay_run` re-executes a recorded run and
+reproduces those outputs byte for byte.
 
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numeric failure.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import inspect
 import json
 import logging
 import os
@@ -24,8 +27,9 @@ import platform
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_args
 
 from . import __version__
 from .data import scan_dataset
@@ -85,110 +89,138 @@ _LOG_LEVELS = ("debug", "info", "warning", "error")
 
 @dataclass(frozen=True)
 class Option:
-    """One named setting: its value type, default, and flag help text."""
+    """One named setting: its value type, default and flag help text, and
+    the name of the library config field it feeds, if any."""
 
     key: str
-    kind: str  # "int" | "float" | "str" | "bool"
+    kind: type = str
     default: object = None
     required: bool = False
     help: str = ""
+    field: str | None = None
+
+
+def _derived(owner, key: str, name: str | None = None, help: str = "",
+             index: int | None = None) -> Option:
+    """An option whose type and default are those of field or parameter
+    ``name`` (default: ``key``) of ``owner``, a config dataclass or a
+    function, so that the library holds the only copy of the default.
+    ``index`` takes one element of a tuple-valued field, which the option
+    then does not feed on its own."""
+    name = name or key
+    param = inspect.signature(owner, eval_str=True).parameters[name]
+    if index is not None:
+        return Option(key, get_args(param.annotation)[index],
+                      param.default[index], help=help)
+    return Option(key, param.annotation, param.default, help=help, field=name)
 
 
 GLOBAL_OPTIONS = (
-    Option("out", "str", None, help="run directory (default runs/<command>)"),
-    Option("seed", "int", None,
+    Option("out", help="run directory (default runs/<command>)"),
+    Option("seed", int, field="seed",
            help=f"global RNG seed; falls back to ${SEED_ENV_VAR}, then 0"),
-    Option("log_level", "str", "info", help="debug|info|warning|error"),
+    Option("log_level", str, "info", help="debug|info|warning|error"),
+)
+
+# settings that several commands share
+_TRAIN_DIR = Option("train_dir", required=True,
+                    help="directory of cleaned training series")
+_RATE_HZ = _derived(scan_dataset, "rate_hz", help="sampling rate")
+_STRIDE = _derived(TrainConfig, "stride", help="training window stride")
+_HORIZON = _derived(TrainConfig, "horizon", "positive_horizon",
+                    help="positive-label horizon")
+_SCORED = (
+    Option("model", required=True, help="checkpoint path"),
+    Option("data", required=True, help="directory of cleaned series to score"),
+)
+_DETECTION = (
+    _derived(evaluate_dataset, "consecutive",
+             help="consecutive windows above threshold to detect"),
+    _derived(evaluate_dataset, "beta", help="F-measure beta"),
 )
 
 COMMAND_OPTIONS: dict[str, tuple[Option, ...]] = {
     "synth": (
-        Option("n_syncope", "int", 8, help="number of positive series"),
-        Option("n_nosyncope", "int", 8, help="number of negative series"),
-        Option("length_min", "int", 2000, help="shortest series (samples)"),
-        Option("length_max", "int", 4000, help="longest series (samples)"),
-        Option("onset_lead", "int", 750,
-               help="pattern onset this many samples before the marker"),
-        Option("rate_hz", "float", 1.25, help="sampling rate"),
-        Option("corrupt", "bool", False,
-               help="also plant gaps and spikes"),
-        Option("gap_probability", "float", 0.01,
+        _derived(SynthConfig, "n_syncope", help="number of positive series"),
+        _derived(SynthConfig, "n_nosyncope", help="number of negative series"),
+        _derived(SynthConfig, "length_min", "length_range", index=0,
+                 help="shortest series (samples)"),
+        _derived(SynthConfig, "length_max", "length_range", index=1,
+                 help="longest series (samples)"),
+        _derived(SynthConfig, "onset_lead",
+                 help="pattern onset this many samples before the marker"),
+        _RATE_HZ,
+        Option("corrupt", bool, False, help="also plant gaps and spikes"),
+        Option("gap_probability", float, 0.01,
                help="per-sample gap start probability (with --corrupt)"),
-        Option("spike_probability", "float", 0.01,
+        Option("spike_probability", float, 0.01,
                help="per-sample spike probability (with --corrupt)"),
     ),
     "preprocess": (
-        Option("data", "str", required=True,
+        Option("data", required=True,
                help="directory of recording CSVs to clean"),
-        Option("rate_hz", "float", 1.25, help="sampling rate"),
-        Option("median_window", "int", 31, help="outlier median window"),
-        Option("outlier_threshold", "float", 3.0,
-               help="initial studentized cut"),
-        Option("outlier_decay", "float", 0.8,
-               help="threshold decay per iteration"),
-        Option("outlier_iters", "int", 5, help="max outlier iterations"),
-        Option("train_fraction", "float", 0.8, help="train split fraction"),
-        Option("exclude_conflicts", "bool", True,
-               help="drop cross-class duplicate recordings"),
+        _RATE_HZ,
+        _derived(OutlierConfig, "median_window", help="outlier median window"),
+        _derived(OutlierConfig, "outlier_threshold", "initial_threshold",
+                 help="initial studentized cut"),
+        _derived(OutlierConfig, "outlier_decay", "decay",
+                 help="threshold decay per iteration"),
+        _derived(OutlierConfig, "outlier_iters", "max_iterations",
+                 help="max outlier iterations"),
+        _derived(PreprocessConfig, "train_fraction", help="train split fraction"),
+        _derived(PreprocessConfig, "exclude_conflicts",
+                 help="drop cross-class duplicate recordings"),
     ),
     "train": (
-        Option("train_dir", "str", required=True,
-               help="directory of cleaned training series"),
-        Option("spec", "str", "2x32b",
+        _TRAIN_DIR,
+        Option("spec", str, "2x32b",
                help="model shape LAYERSxUNITS[b], e.g. 2x32b for "
                     "bidirectional"),
-        Option("window", "int", 100, help="history window (samples)"),
-        Option("stride", "int", 10, help="training window stride"),
-        Option("horizon", "int", 750, help="positive-label horizon"),
-        Option("batch", "int", 16, help="batch size"),
-        Option("epochs", "int", 50, help="training epochs"),
-        Option("rho", "float", 0.95, help="ADADELTA decay rate"),
-        Option("epsilon", "float", 1e-6, help="ADADELTA epsilon"),
-        Option("learning_rate", "float", 1.0,
-               help="multiplier on ADADELTA updates"),
-        Option("lr_decay", "float", 1.0,
-               help="learning-rate multiplier decay per epoch"),
+        _derived(TrainConfig, "window", "window_size",
+                 help="history window (samples)"),
+        _STRIDE,
+        _HORIZON,
+        _derived(TrainConfig, "batch", "batch_size", help="batch size"),
+        _derived(TrainConfig, "epochs", help="training epochs"),
+        _derived(TrainConfig, "rho", help="ADADELTA decay rate"),
+        _derived(TrainConfig, "epsilon", help="ADADELTA epsilon"),
+        _derived(TrainConfig, "learning_rate", "lr_multiplier",
+                 help="multiplier on ADADELTA updates"),
+        _derived(TrainConfig, "lr_decay",
+                 help="learning-rate multiplier decay per epoch"),
     ),
     "evaluate": (
-        Option("model", "str", required=True, help="checkpoint path"),
-        Option("data", "str", required=True,
-               help="directory of cleaned series to score"),
-        Option("threshold", "float", 0.5, help="detection threshold"),
-        Option("consecutive", "int", 1,
-               help="consecutive windows above threshold to detect"),
-        Option("beta", "float", 1.0, help="F-measure beta"),
+        *_SCORED,
+        Option("threshold", float, 0.5, help="detection threshold"),
+        *_DETECTION,
     ),
     "sweep": (
-        Option("model", "str", required=True, help="checkpoint path"),
-        Option("data", "str", required=True,
-               help="directory of cleaned series to score"),
-        Option("grid", "str", "",
+        *_SCORED,
+        Option("grid", str, "",
                help="comma-separated thresholds (default 0.05..0.95)"),
-        Option("consecutive", "int", 1,
-               help="consecutive windows above threshold to detect"),
-        Option("beta", "float", 1.0, help="F-measure beta"),
+        *_DETECTION,
     ),
     "hpo": (
-        Option("train_dir", "str", required=True,
-               help="directory of cleaned training series"),
-        Option("phase", "str", "both", help="1, 2, or both"),
-        Option("budget", "int", 16, help="trials for phase 1 (or phase 2)"),
-        Option("budget2", "int", 8, help="phase-2 trials when phase=both"),
-        Option("n_init", "int", 8, help="quasi-random warmup trials"),
-        Option("epochs", "int", 5, help="training epochs per trial"),
-        Option("inner_fraction", "float", 0.8,
+        _TRAIN_DIR,
+        Option("phase", str, "both", help="1, 2, or both"),
+        Option("budget", int, 16, help="trials for phase 1 (or phase 2)"),
+        Option("budget2", int, 8, help="phase-2 trials when phase=both"),
+        _derived(run_phase, "n_init", help="quasi-random warmup trials"),
+        Option("epochs", int, 5, help="training epochs per trial",
+               field="epochs"),
+        Option("inner_fraction", float, 0.8,
                help="inner train/validation split fraction"),
-        Option("stride", "int", 10, help="training window stride"),
-        Option("horizon", "int", 750, help="positive-label horizon"),
-        Option("bidirectional", "bool", True,
+        _STRIDE,
+        _HORIZON,
+        Option("bidirectional", bool, True,
                help="train bidirectional models"),
-        Option("space", "str", "",
+        Option("space", str, "",
                help="search-space INI file (default: built-in space)"),
-        Option("phase1_log", "str", "",
+        Option("phase1_log", str, "",
                help="phase-1 trials CSV (required when phase=2)"),
     ),
     "report": (
-        Option("inputs", "str", required=True,
+        Option("inputs", required=True,
                help="comma-separated CSV files or directories to render"),
     ),
 }
@@ -231,21 +263,28 @@ def _convert(opt: Option, raw, where: str):
         return raw
     text = raw.strip()
     try:
-        if opt.kind == "int":
-            return int(text)
-        if opt.kind == "float":
-            return float(text)
-        if opt.kind == "bool":
-            return _BOOL_WORDS[text.lower()]
-        return text
+        return _BOOL_WORDS[text.lower()] if opt.kind is bool else opt.kind(text)
     except (ValueError, KeyError):
-        raise ConfigInvalid(
-            f"{where}: key '{opt.key}' has invalid {opt.kind} value {raw!r}"
-        ) from None
+        raise ConfigInvalid(f"{where}: key '{opt.key}' has invalid "
+                            f"{opt.kind.__name__} value {raw!r}") from None
 
 
 def _schema(command: str) -> dict[str, Option]:
     return {o.key: o for o in (*GLOBAL_OPTIONS, *COMMAND_OPTIONS[command])}
+
+
+def _read_ini(path, what: str) -> configparser.ConfigParser:
+    """Parse an INI file, mapping open and parse errors to ConfigInvalid."""
+    parser = configparser.ConfigParser(interpolation=None,
+                                       default_section="\x00unused")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot read {what} file {path}: {exc}") from exc
+    except configparser.Error as exc:
+        raise ConfigInvalid(f"bad {what} file {path}: {exc}") from exc
+    return parser
 
 
 def read_config_file(path) -> dict[str, dict]:
@@ -255,16 +294,7 @@ def read_config_file(path) -> dict[str, dict]:
     that section's schema. Violations raise ConfigInvalid naming the
     offending section or key.
     """
-    parser = configparser.ConfigParser(interpolation=None,
-                                       default_section="\x00unused")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigInvalid(f"cannot read config file {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigInvalid(f"bad config file {path}: {exc}") from exc
-
+    parser = _read_ini(path, "config")
     out: dict[str, dict] = {}
     for section in parser.sections():
         if section == "global":
@@ -330,12 +360,13 @@ def resolve_config(command: str, file_values: dict | None = None,
 # --- small shared helpers ---------------------------------------------------------
 
 
-def _build(ctor, **kwargs):
-    """Construct a config object, mapping its ValueErrors to ConfigInvalid."""
-    try:
-        return ctor(**kwargs)
-    except ValueError as exc:
-        raise ConfigInvalid(str(exc)) from exc
+def _make(cls, config: RunConfig, **extra):
+    """Build library config dataclass ``cls`` from every resolved setting
+    that feeds one of its fields; ``extra`` sets or overrides the rest."""
+    names = {f.name for f in fields(cls)}
+    fed = {opt.field: config[opt.key]
+           for opt in _schema(config.command).values() if opt.field in names}
+    return cls(**{**fed, **extra})
 
 
 def parse_model_spec(text: str, window: int, channels: int = 2) -> ModelSpec:
@@ -377,15 +408,11 @@ def _versions() -> dict:
 
 def _cmd_synth(config: RunConfig, out: Path, log) -> list[str]:
     corrupt = config["corrupt"]
-    scfg = SynthConfig(
-        n_syncope=config["n_syncope"],
-        n_nosyncope=config["n_nosyncope"],
+    scfg = _make(
+        SynthConfig, config,
         length_range=(config["length_min"], config["length_max"]),
-        rate_hz=config["rate_hz"],
-        onset_lead=config["onset_lead"],
         gap_probability=config["gap_probability"] if corrupt else 0.0,
         spike_probability=config["spike_probability"] if corrupt else 0.0,
-        seed=config["seed"],
     )
     generated = generate_dataset(scfg, out / "data")
     log.info("generated %d series under %s", len(generated.ids), out / "data")
@@ -393,24 +420,10 @@ def _cmd_synth(config: RunConfig, out: Path, log) -> list[str]:
 
 
 def _cmd_preprocess(config: RunConfig, out: Path, log) -> list[str]:
-    if not 0.0 < config["train_fraction"] < 1.0:
-        raise ConfigInvalid(
-            f"train_fraction must lie in (0, 1), got {config['train_fraction']}"
-        )
+    pcfg = _make(PreprocessConfig, config, outlier=_make(OutlierConfig, config))
     catalog = scan_dataset(config["data"], rate_hz=config["rate_hz"])
     for path, reason in catalog.skipped:
         log.warning("skipped %s: %s", path, reason)
-    pcfg = PreprocessConfig(
-        outlier=_build(
-            OutlierConfig,
-            median_window=config["median_window"],
-            initial_threshold=config["outlier_threshold"],
-            decay=config["outlier_decay"],
-            max_iterations=config["outlier_iters"],
-        ),
-        train_fraction=config["train_fraction"],
-        exclude_conflicts=config["exclude_conflicts"],
-    )
     split, drop_report = preprocess_pipeline(catalog, pcfg, config["seed"])
     written = []
     for side, series_list in (("train", split.train), ("test", split.test)):
@@ -431,19 +444,7 @@ def _cmd_preprocess(config: RunConfig, out: Path, log) -> list[str]:
 def _cmd_train(config: RunConfig, out: Path, log) -> list[str]:
     series = load_clean_dir(config["train_dir"])
     spec = parse_model_spec(config["spec"], config["window"])
-    tcfg = _build(
-        TrainConfig,
-        window_size=config["window"],
-        epochs=config["epochs"],
-        stride=config["stride"],
-        positive_horizon=config["horizon"],
-        batch_size=config["batch"],
-        seed=config["seed"],
-        rho=config["rho"],
-        epsilon=config["epsilon"],
-        lr_multiplier=config["learning_rate"],
-        lr_decay=config["lr_decay"],
-    )
+    tcfg = _make(TrainConfig, config)
     split = SplitDataset(train=series, test=[], seed=config["seed"])
     model, optimizer, history = fit(split, spec, tcfg)
     for sid in history.skipped_series:
@@ -502,15 +503,7 @@ def _cmd_sweep(config: RunConfig, out: Path, log) -> list[str]:
 def load_space_file(path) -> SearchSpace:
     """Read a search-space INI: one section per dimension, keys
     kind/lower/upper."""
-    parser = configparser.ConfigParser(interpolation=None,
-                                       default_section="\x00unused")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigInvalid(f"cannot read space file {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigInvalid(f"bad space file {path}: {exc}") from exc
+    parser = _read_ini(path, "space")
     dimensions = []
     for section in parser.sections():
         items = dict(parser.items(section))
@@ -542,28 +535,28 @@ def make_pipeline_objective(series, config: RunConfig, log):
 
     The series are split once (seeded) into inner train/validation sides;
     every trial trains on the same inner split so objective values are
-    comparable across trials.
+    comparable across trials. The settings every trial shares are checked
+    here, before the first trial.
     """
+    # a window longer than the horizon implies at least a window-length
+    # lookback, so each trial clamps the horizon up to its window
+    horizon = config["horizon"]
+    base = _make(TrainConfig, config,
+                 positive_horizon=max(horizon, TrainConfig.window_size))
     inner = split_train_test(series, config["inner_fraction"], config["seed"])
     bidirectional = config["bidirectional"]
 
     def objective(params: dict) -> float:
-        window = int(params.get("window_size", 100))
+        window = int(params.get("window_size", base.window_size))
         layers = int(params.get("gru_layers", 1))
         units = int(params.get("gru_units", 32))
         spec = ModelSpec(num_layers=layers, units=[units] * layers,
                          bidirectional=bidirectional, window_size=window)
-        tcfg = TrainConfig(
-            window_size=window,
-            epochs=config["epochs"],
-            stride=config["stride"],
-            # a window longer than the horizon implies at least a
-            # window-length lookback, so clamp the horizon up to it
-            positive_horizon=max(config["horizon"], window),
-            batch_size=int(params.get("batch_size", 16)),
-            seed=config["seed"],
-            lr_multiplier=float(params.get("learning_rate", 1.0)),
-            lr_decay=float(params.get("lr_decay", 1.0)),
+        tcfg = replace(
+            base, window_size=window, positive_horizon=max(horizon, window),
+            batch_size=int(params.get("batch_size", base.batch_size)),
+            lr_multiplier=float(params.get("learning_rate", base.lr_multiplier)),
+            lr_decay=float(params.get("lr_decay", base.lr_decay)),
         )
         model, _, _ = fit(inner, spec, tcfg)
         result = evaluate_dataset(
@@ -790,18 +783,9 @@ def replay_run(run_json_path, out_dir) -> int:
     must still resolve.
     """
     doc = load_run_record(run_json_path)
-    command = doc["command"]
-    if command not in COMMAND_OPTIONS:
-        raise UnknownCommand(f"{run_json_path}: unknown command '{command}'")
-    schema = _schema(command)
-    recorded = doc["config"]
-    unknown = sorted(set(recorded) - set(schema))
-    if unknown:
-        raise ConfigInvalid(f"{run_json_path}: unknown key '{unknown[0]}'")
-    values = {key: opt.default for key, opt in schema.items()}
-    values.update(recorded)
-    values["out"] = str(out_dir)
-    return dispatch(command, RunConfig(command, values))
+    config = resolve_config(doc["command"],
+                            flag_values={**doc["config"], "out": str(out_dir)})
+    return dispatch(config.command, config)
 
 
 # --- argument parsing -------------------------------------------------------------
@@ -820,16 +804,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, metavar="FILE",
                        help="INI settings file")
         for opt in (*GLOBAL_OPTIONS, *options):
-            flag = "--" + opt.key.replace("_", "-")
-            if opt.kind == "bool":
-                p.add_argument(flag, dest=opt.key, default=None,
-                               action=argparse.BooleanOptionalAction,
-                               help=opt.help)
-            else:
-                p.add_argument(flag, dest=opt.key, default=None,
-                               type={"int": int, "float": float,
-                                     "str": str}[opt.kind],
-                               help=opt.help)
+            kind = ({"action": argparse.BooleanOptionalAction}
+                    if opt.kind is bool else {"type": opt.kind})
+            p.add_argument("--" + opt.key.replace("_", "-"), dest=opt.key,
+                           default=None, help=opt.help, **kind)
     return parser
 
 
@@ -840,10 +818,7 @@ def main(argv=None) -> int:
         return 2
     try:
         file_values = read_config_file(args.config) if args.config else {}
-        flag_values = {
-            opt.key: getattr(args, opt.key)
-            for opt in (*GLOBAL_OPTIONS, *COMMAND_OPTIONS[args.command])
-        }
+        flag_values = {key: getattr(args, key) for key in _schema(args.command)}
         config = resolve_config(args.command, file_values, flag_values)
         return dispatch(args.command, config)
     except SentinelError as exc:

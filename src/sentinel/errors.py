@@ -131,8 +131,9 @@ class AllTrialsFailed(SentinelError):
 
 # --- synthesis and command line ----------------------------------------------
 
-class ConfigInvalid(ConfigError):
-    """A configuration key or value is invalid (named in the message)."""
+class ConfigInvalid(ConfigError, ValueError):
+    """A configuration key or value is invalid (named in the message).
+    Also a ValueError, the standard exception for a bad argument value."""
 
 
 class UnknownCommand(ConfigError):

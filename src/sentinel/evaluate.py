@@ -168,11 +168,13 @@ def series_probabilities(model: GruModel, series: CleanSeries) -> np.ndarray:
     """P(syncope) for every stride-1 window of the series.
 
     Entry i corresponds to the window ending at sample i + window_size - 1.
-    The windows are scored in chunks on ``_trace_workers(model)`` threads
-    (one worker scores them on the calling thread).
-    Each window's row of every matmul is computed alone, whatever the chunk
-    size or BLAS thread count, so the trace does not depend on the worker
-    count.
+    The windows are scored in chunks of ``EVAL_CHUNK // workers`` on
+    ``_trace_workers(model)`` threads (one worker scores them on the
+    calling thread). The trace is bit-identical at the worker counts
+    ``TestPooledTrace`` checks (1, 2, 3 and 8), but a window's probability
+    can change in the last bits with its chunk size: chunks of 1 or 7
+    windows differ from chunks of 128 by up to 1.1e-16, and on 37 or
+    more workers a chunk holds 6 windows or fewer (ROADMAP item 2).
     """
     window = model.spec.window_size
     x = series.window_input()

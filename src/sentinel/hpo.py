@@ -321,6 +321,8 @@ def run_phase(space: SearchSpace, budget: int, objective_fn, seed: int,
     observed at the worst case 1.0 so the surrogate learns to avoid the
     region.
     """
+    if n_init < 1:
+        raise ConfigError(f"n_init must be >= 1, got {n_init}")
     if budget < n_init:
         raise ConfigError(f"budget {budget} is below n_init {n_init}")
     surr = Surrogate(space, seed=seed)

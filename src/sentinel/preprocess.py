@@ -28,6 +28,7 @@ from .data import (
 )
 from .errors import (
     BadWindow,
+    ConfigInvalid,
     DegenerateSignal,
     EmptyChannel,
     EmptyDataset,
@@ -53,9 +54,9 @@ class OutlierConfig:
         if self.median_window < 3 or self.median_window % 2 == 0:
             raise BadWindow(f"median_window must be odd and >= 3, got {self.median_window}")
         if not (0.0 < self.decay <= 1.0):
-            raise ValueError(f"decay must lie in (0, 1], got {self.decay}")
+            raise ConfigInvalid(f"decay must lie in (0, 1], got {self.decay}")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ConfigInvalid("max_iterations must be >= 1")
 
 
 @dataclass
@@ -327,10 +328,14 @@ def balance_classes(records: list, seed: int) -> list:
     return [records[i] for i in range(len(records)) if i in keep]
 
 
+def _check_train_fraction(train_fraction: float) -> None:
+    if not (0.0 < train_fraction < 1.0):
+        raise ConfigInvalid(f"train_fraction must lie in (0, 1), got {train_fraction}")
+
+
 def split_train_test(records: list, train_fraction: float, seed: int) -> SplitDataset:
     """Seeded stratified split; both sides keep the class balance."""
-    if not (0.0 < train_fraction < 1.0):
-        raise ValueError(f"train_fraction must lie in (0, 1), got {train_fraction}")
+    _check_train_fraction(train_fraction)
     rng = np.random.default_rng(seed)
     train: list = []
     test: list = []
@@ -360,6 +365,9 @@ class PreprocessConfig:
     outlier: OutlierConfig = field(default_factory=OutlierConfig)
     train_fraction: float = 0.8
     exclude_conflicts: bool = True
+
+    def __post_init__(self):
+        _check_train_fraction(self.train_fraction)
 
 
 def _clean_one(rec: RawRecording, cfg: PreprocessConfig, rate_hz: float) -> CleanSeries:

@@ -51,8 +51,8 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class TrainConfig:
-    window_size: int
-    epochs: int
+    window_size: int = 100
+    epochs: int = 50
     stride: int = 10
     positive_horizon: int = 750
     batch_size: int = 16

@@ -1,15 +1,20 @@
 """Config resolution, command dispatch, exit codes, provenance records,
 and bit-identical replay of recorded runs."""
 
+import argparse
 import filecmp
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from sentinel import hpo
+from sentinel import cli, hpo
 from sentinel.cli import (
+    COMMANDS,
     RunConfig,
+    build_parser,
     dispatch,
     exit_code_for,
     load_run_record,
@@ -97,6 +102,122 @@ class TestResolveConfig:
         assert exit_code_for(NonFiniteLoss("x")) == 4
         assert exit_code_for(AllTrialsFailed("x")) == 4
         assert exit_code_for(CorruptCheckpoint("x")) == 3
+
+
+# every resolved setting of each command and its type, with the required
+# settings given as REQUIRED: most defaults come from the library's config
+# dataclasses, so a default changed there shows up here as a CLI change
+REQUIRED = {
+    "preprocess": {"data": "d"}, "train": {"train_dir": "t"},
+    "evaluate": {"model": "m", "data": "d"}, "sweep": {"model": "m", "data": "d"},
+    "hpo": {"train_dir": "t"}, "report": {"inputs": "i"},
+}
+GOLDEN_VALUES = {
+    "synth": {
+        "n_syncope": 8, "n_nosyncope": 8, "length_min": 2000, "length_max": 4000,
+        "onset_lead": 750, "rate_hz": 1.25, "corrupt": False,
+        "gap_probability": 0.01, "spike_probability": 0.01,
+    },
+    "preprocess": {
+        "data": "d", "rate_hz": 1.25, "median_window": 31,
+        "outlier_threshold": 3.0, "outlier_decay": 0.8, "outlier_iters": 5,
+        "train_fraction": 0.8, "exclude_conflicts": True,
+    },
+    "train": {
+        "train_dir": "t", "spec": "2x32b", "window": 100, "stride": 10,
+        "horizon": 750, "batch": 16, "epochs": 50, "rho": 0.95,
+        "epsilon": 1e-6, "learning_rate": 1.0, "lr_decay": 1.0,
+    },
+    "evaluate": {"model": "m", "data": "d", "threshold": 0.5,
+                 "consecutive": 1, "beta": 1.0},
+    "sweep": {"model": "m", "data": "d", "grid": "", "consecutive": 1,
+              "beta": 1.0},
+    "hpo": {
+        "train_dir": "t", "phase": "both", "budget": 16, "budget2": 8,
+        "n_init": 8, "epochs": 5, "inner_fraction": 0.8, "stride": 10,
+        "horizon": 750, "bidirectional": True, "space": "", "phase1_log": "",
+    },
+    "report": {"inputs": "i"},
+}
+GOLDEN_FLAGS = {
+    "synth": {"--n-syncope", "--n-nosyncope", "--length-min", "--length-max",
+              "--onset-lead", "--rate-hz", "--corrupt", "--no-corrupt",
+              "--gap-probability", "--spike-probability"},
+    "preprocess": {"--data", "--rate-hz", "--median-window",
+                   "--outlier-threshold", "--outlier-decay", "--outlier-iters",
+                   "--train-fraction", "--exclude-conflicts",
+                   "--no-exclude-conflicts"},
+    "train": {"--train-dir", "--spec", "--window", "--stride", "--horizon",
+              "--batch", "--epochs", "--rho", "--epsilon", "--learning-rate",
+              "--lr-decay"},
+    "evaluate": {"--model", "--data", "--threshold", "--consecutive", "--beta"},
+    "sweep": {"--model", "--data", "--grid", "--consecutive", "--beta"},
+    "hpo": {"--train-dir", "--phase", "--budget", "--budget2", "--n-init",
+            "--epochs", "--inner-fraction", "--stride", "--horizon",
+            "--bidirectional", "--no-bidirectional", "--space", "--phase1-log"},
+    "report": {"--inputs"},
+}
+
+
+def command_parsers() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return dict(sub.choices)
+
+
+class TestSettingsSurface:
+    def test_commands(self):
+        assert COMMANDS == tuple(GOLDEN_VALUES)
+
+    @pytest.mark.parametrize("command", list(GOLDEN_VALUES))
+    def test_resolved_defaults_and_types(self, command, monkeypatch):
+        monkeypatch.delenv("SENTINEL_SEED", raising=False)
+        values = resolve_config(command,
+                                flag_values=REQUIRED.get(command)).values
+        want = {"out": str(Path("runs") / command), "seed": 0,
+                "log_level": "info", **GOLDEN_VALUES[command]}
+        assert values == want
+        assert {k: type(v) for k, v in values.items()} == \
+            {k: type(v) for k, v in want.items()}
+
+    @pytest.mark.parametrize("command", list(GOLDEN_FLAGS))
+    def test_accepted_flags(self, command):
+        flags = {flag for action in command_parsers()[command]._actions
+                 for flag in action.option_strings}
+        common = {"-h", "--help", "--config", "--out", "--seed", "--log-level"}
+        assert flags == common | GOLDEN_FLAGS[command]
+
+
+def documented_commands(text: str) -> list[str]:
+    """The ``sentinel ...`` lines of a shell text, continuations joined."""
+    joined = re.sub(r"\\\n\s*", " ", text)
+    return [line.strip() for line in joined.splitlines()
+            if line.strip().startswith("sentinel ")]
+
+
+class TestDocumentedCommandsParse:
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def readme_commands(self):
+        text = (self.ROOT / "README.md").read_text(encoding="utf-8")
+        section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        return documented_commands(section)
+
+    def demo_commands(self):
+        text = (self.ROOT / "demos" / "cli_walkthrough.sh").read_text(encoding="utf-8")
+        return documented_commands(text)
+
+    @pytest.mark.parametrize("source, at_least", [("readme", 8), ("demo", 6)])
+    def test_every_documented_command_parses(self, source, at_least):
+        lines = getattr(self, f"{source}_commands")()
+        assert len(lines) >= at_least
+        parser = build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"{source} command does not parse: {line}")
 
 
 class TestModelSpecNotation:
@@ -378,6 +499,31 @@ class TestExitCodes:
         code = main(["report", "--inputs", str(junk),
                      "--out", str(tmp_path / "o"), "--log-level", "error"])
         assert code == 3
+
+    @pytest.mark.parametrize("command, args, named", [
+        ("hpo", ["--inner-fraction", "1.5"], "train_fraction"),
+        ("hpo", ["--epochs", "-1"], "epochs"),
+        ("hpo", ["--n-init", "-2"], "n_init"),
+        ("preprocess", ["--train-fraction", "1"], "train_fraction"),
+    ])
+    def test_bad_setting_exits_2_before_any_work(self, pipeline, tmp_path,
+                                                 monkeypatch, capsys,
+                                                 command, args, named):
+        fits = []
+        monkeypatch.setattr(cli, "fit", lambda *a, **k: fits.append(a))
+        if command == "hpo":
+            space = tmp_path / "space.ini"
+            space.write_text(SPACE_INI)
+            inputs = ["--train-dir", pipeline / "prep" / "clean" / "train",
+                      "--space", space, "--budget", 8, "--stride", 80]
+        else:
+            inputs = ["--data", pipeline / "synth" / "data"]
+        code = run_cli(command, *inputs, *args, "--out", tmp_path / "o",
+                       "--log-level", "error")
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert named in err["message"]
+        assert fits == []
 
     def test_report_missing_input_exits_2(self, tmp_path):
         code = main(["report", "--inputs", str(tmp_path / "ghost.csv"),

@@ -257,6 +257,13 @@ class TestRunPhase:
                                   seed=0, n_init=2)
         assert len(trials) == 3
 
+    @pytest.mark.parametrize("n_init", [0, -2])
+    def test_n_init_below_one_rejected_before_any_trial(self, n_init):
+        calls = []
+        with pytest.raises(ConfigError, match="n_init"):
+            hpo.run_phase(unit_space(2), 3, calls.append, seed=0, n_init=n_init)
+        assert calls == []
+
 
 class TestTwoPhase:
     def test_phase2_restricted_and_pinned(self):

@@ -15,6 +15,7 @@ from sentinel.data import (
 )
 from sentinel.errors import (
     BadWindow,
+    ConfigInvalid,
     DegenerateSignal,
     EmptyChannel,
     EmptyDataset,
@@ -375,6 +376,11 @@ class TestSplit:
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
             split_train_test(self.balanced(4), 1.0, seed=0)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5])
+    def test_bad_fraction_rejected_when_config_is_built(self, fraction):
+        with pytest.raises(ConfigInvalid, match="train_fraction"):
+            PreprocessConfig(train_fraction=fraction)
 
 
 def synth_catalog(tmp_path, n=25, seed=17, **kw):
