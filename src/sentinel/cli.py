@@ -44,6 +44,7 @@ from .errors import (
     UnknownCommand,
 )
 from .evaluate import (
+    _openblas,
     default_threshold_grid,
     evaluate_dataset,
     threshold_sweep,
@@ -70,6 +71,7 @@ from .preprocess import (
     OutlierConfig,
     PreprocessConfig,
     SplitDataset,
+    check_fraction,
     load_clean_dir,
     preprocess_pipeline,
     save_clean_series,
@@ -392,14 +394,20 @@ def _files_under(root: Path, out: Path) -> list[str]:
 
 
 def _versions() -> dict:
+    """Versions of the interpreter and libraries, and the OpenBLAS build
+    numpy loaded with its thread count (None where it is not found):
+    trained weights can follow the BLAS thread count."""
     import numpy
     import scipy
 
+    blas = _openblas()
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "sentinel": __version__,
+        "blas": None if blas is None else {"library": blas.library,
+                                           "threads": blas.get()},
     }
 
 
@@ -543,6 +551,7 @@ def make_pipeline_objective(series, config: RunConfig, log):
     horizon = config["horizon"]
     base = _make(TrainConfig, config,
                  positive_horizon=max(horizon, TrainConfig.window_size))
+    check_fraction(config["inner_fraction"], "inner_fraction")
     inner = split_train_test(series, config["inner_fraction"], config["seed"])
     bidirectional = config["bidirectional"]
 

@@ -10,10 +10,13 @@ the manually-marked syncope time per recording.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (
     EmptyDataset,
@@ -29,6 +32,12 @@ CHANNEL_NAMES = ("mBP", "HR")
 # Fraction of the sample period by which a timestamp may deviate from the
 # nominal grid before the file is rejected.
 GRID_TOLERANCE = 0.01
+
+
+def sample_arrays(samples: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """Times and values of a channel's ``(t, v)`` samples as float arrays."""
+    flat = np.fromiter(chain.from_iterable(samples), float, count=2 * len(samples))
+    return flat[0::2], flat[1::2]
 
 
 class Label(Enum):
@@ -61,15 +70,15 @@ class RawRecording:
         if not self.channels:
             raise MissingChannel(f"{self.id}: no channels present")
         for name, samples in self.channels.items():
-            for i in range(1, len(samples)):
-                if samples[i][0] <= samples[i - 1][0]:
-                    raise NonMonotonicTime(
-                        f"{self.id}: channel {name} time not strictly "
-                        f"increasing at row {i}"
-                    )
-            for t, v in samples:
-                if not (math.isfinite(t) and math.isfinite(v)):
-                    raise ParseError(f"{self.id}: non-finite sample in {name}")
+            t, v = sample_arrays(samples)
+            back = np.flatnonzero(t[1:] <= t[:-1])
+            if back.size:
+                raise NonMonotonicTime(
+                    f"{self.id}: channel {name} time not strictly "
+                    f"increasing at row {int(back[0]) + 1}"
+                )
+            if not (np.isfinite(t).all() and np.isfinite(v).all()):
+                raise ParseError(f"{self.id}: non-finite sample in {name}")
         if self.marker_time is not None:
             lo, hi = self.time_span()
             if not (lo <= self.marker_time <= hi):
@@ -113,6 +122,17 @@ def _parse_cell(text: str, path: Path, row_no: int, col: str) -> float | None:
         raise ParseError(f"{path}: row {row_no}, column {col}: bad value {text!r}")
 
 
+def _column(header: list[str], name: str) -> int | None:
+    """Index of the column a cell named ``name`` is read from: the last
+    header cell equal to it, unstripped, or None when there is none."""
+    return max((j for j, f in enumerate(header) if f == name), default=None)
+
+
+def _cell(row: list[str], col: int | None) -> str:
+    """Text of a cell; an absent column or a short row reads as empty."""
+    return row[col] if col is not None and col < len(row) else ""
+
+
 def load_recording(
     path: str | Path,
     label: Label | None = None,
@@ -131,29 +151,43 @@ def load_recording(
 
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise ParseError(f"{path}: empty file")
-            fields = [f.strip() for f in reader.fieldnames]
+            fields = [f.strip() for f in header]
             if "time_s" not in fields:
                 raise ParseError(f"{path}: missing time_s column")
             present = [c for c in CHANNEL_NAMES if c in fields]
             if not present:
                 raise MissingChannel(f"{path}: neither mBP nor HR present")
 
-            channels: dict[str, list[tuple[float, float]]] = {c: [] for c in present}
-            for row_no, row in enumerate(reader, start=2):
-                t = _parse_cell(row.get("time_s", ""), path, row_no, "time_s")
-                if t is None:
-                    raise ParseError(f"{path}: row {row_no}: empty time_s")
-                for c in present:
-                    v = _parse_cell(row.get(c) or "", path, row_no, c)
-                    if v is not None:
-                        channels[c].append((t, v))
+            time_col = _column(header, "time_s")
+            columns = [(c, _column(header, c), [], []) for c in present]
+            row_no = 1
+            for row in reader:
+                if not row:  # blank lines are skipped and not counted
+                    continue
+                row_no += 1
+                try:
+                    t = float(row[time_col])
+                except (ValueError, IndexError, TypeError):
+                    t = _parse_cell(_cell(row, time_col), path, row_no, "time_s")
+                    if t is None:
+                        raise ParseError(f"{path}: row {row_no}: empty time_s")
+                for c, col, times, values in columns:
+                    try:
+                        v = float(row[col])
+                    except (ValueError, IndexError, TypeError):
+                        v = _parse_cell(_cell(row, col), path, row_no, c)
+                        if v is None:
+                            continue
+                    times.append(t)
+                    values.append(v)
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
-    channels = {c: s for c, s in channels.items() if s}
+    channels = {c: list(zip(times, values)) for c, _, times, values in columns if times}
     if not channels:
         raise MissingChannel(f"{path}: all channel columns are empty")
 
@@ -175,13 +209,14 @@ def _check_grid(rec: RawRecording, rate_hz: float) -> None:
     dt = 1.0 / rate_hz
     t0 = rec.time_span()[0]
     for name, samples in rec.channels.items():
-        for t, _ in samples:
-            k = round((t - t0) / dt)
-            if abs(t - (t0 + k * dt)) > GRID_TOLERANCE * dt:
-                raise ParseError(
-                    f"{rec.id}: channel {name} timestamp {t} is off the "
-                    f"{rate_hz} Hz grid"
-                )
+        t, _ = sample_arrays(samples)
+        k = np.round((t - t0) / dt)
+        off = np.flatnonzero(np.abs(t - (t0 + k * dt)) > GRID_TOLERANCE * dt)
+        if off.size:
+            raise ParseError(
+                f"{rec.id}: channel {name} timestamp {samples[off[0]][0]} is "
+                f"off the {rate_hz} Hz grid"
+            )
 
 
 def write_recording(rec: RawRecording, path: str | Path) -> None:
@@ -282,7 +317,7 @@ def _content_key(rec: RawRecording) -> tuple:
     # Hashable digest of channel values only: two recordings collide exactly
     # when every channel has the same length and the same sample values.
     return tuple(
-        (name, tuple(v for _, v in rec.channels[name]))
+        (name, tuple(map(itemgetter(1), rec.channels[name])))
         for name in sorted(rec.channels)
     )
 

@@ -22,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -119,10 +120,18 @@ def median_reaction(report: EvalReport) -> float | None:
     return float(np.median(times))
 
 
+class OpenBlas(NamedTuple):
+    """The OpenBLAS bundled with numpy: its file name and the getter and
+    setter of its thread count."""
+
+    library: str
+    get: Callable[[], int]
+    put: Callable[[int], None]
+
+
 @functools.cache
-def _openblas():
-    """(get, set) of the thread count of the OpenBLAS bundled with numpy,
-    or None where that library is not found."""
+def _openblas() -> OpenBlas | None:
+    """The OpenBLAS bundled with numpy, or None where it is not found."""
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         try:
             lib = ctypes.CDLL(str(path))
@@ -132,7 +141,7 @@ def _openblas():
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
+        return OpenBlas(path.name, get, put)
     return None
 
 
@@ -155,13 +164,12 @@ def _one_blas_thread():
     if blas is None:
         yield
         return
-    get, put = blas
-    before = get()
-    put(1)
+    before = blas.get()
+    blas.put(1)
     try:
         yield
     finally:
-        put(before)
+        blas.put(before)
 
 
 def series_probabilities(model: GruModel, series: CleanSeries) -> np.ndarray:

@@ -12,8 +12,8 @@ silently. All operations are pure; balancing and splitting are seeded.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from .data import (
     Label,
     RawRecording,
     find_conflicts,
+    sample_arrays,
 )
 from .errors import (
     BadWindow,
@@ -129,10 +130,10 @@ def _grid_params(rec: RawRecording, rate_hz: float) -> tuple[float, float, int]:
 def _to_grid(samples: list[tuple[float, float]], t0: float, dt: float, n: int) -> np.ndarray:
     """Place samples on the grid; absent positions become NaN."""
     out = np.full(n, np.nan)
-    for t, v in samples:
-        k = int(round((t - t0) / dt))
-        if 0 <= k < n:
-            out[k] = v
+    t, v = sample_arrays(samples)
+    k = np.round((t - t0) / dt).astype(np.int64)
+    inside = (k >= 0) & (k < n)
+    out[k[inside]] = v[inside]
     return out
 
 
@@ -153,11 +154,9 @@ def trim_series(rec: RawRecording, rate_hz: float = DEFAULT_RATE_HZ) -> RawRecor
     hi = t0 + (n - TRIM_TAIL) * dt
     channels = {}
     for name, samples in rec.channels.items():
-        kept = [
-            (t, v)
-            for t, v in samples
-            if TRIM_HEAD <= int(round((t - t0) / dt)) < n - TRIM_TAIL
-        ]
+        k = np.round((sample_arrays(samples)[0] - t0) / dt)
+        inside = (k >= TRIM_HEAD) & (k < n - TRIM_TAIL)
+        kept = list(compress(samples, inside.tolist()))
         if kept:
             channels[name] = kept
     marker = rec.marker_time
@@ -224,20 +223,30 @@ def studentize(x: np.ndarray) -> np.ndarray:
 
 
 def median_filter(x: np.ndarray, window: int) -> np.ndarray:
-    """Centered running median; the window shrinks near the edges."""
+    """Centered running median; the window shrinks near the edges.
+
+    Position i takes the median of ``x[max(0, i - half) : i + half + 1]``
+    with ``half = window // 2``, so the first and last ``half`` positions
+    see from ``half + 1`` up to ``window - 1`` samples. Every value equals
+    ``np.median`` of that slice: an even count gives the mean ``(a + b) / 2``
+    of its two middle values, and a slice holding a NaN gives NaN.
+    """
     x = np.asarray(x, dtype=float)
     n = x.size
     if window % 2 == 0 or window < 3 or window > n:
         raise BadWindow(f"window must be odd, >= 3 and <= signal length, got {window}")
     half = window // 2
-    out = np.empty(n)
-    if n >= window:
-        views = np.lib.stride_tricks.sliding_window_view(x, window)
-        out[half:n - half] = np.median(views, axis=1)
-    for i in range(half):
-        out[i] = np.median(x[: i + half + 1])
-        j = n - 1 - i
-        out[j] = np.median(x[j - half:])
+    # Row i holds position i's window of the signal padded with +inf on both
+    # sides. A sort ranks its real samples first and the pads after them;
+    # NaN sorts after +inf, so a row ending in NaN held one.
+    padded = np.concatenate([np.full(half, np.inf), x, np.full(half, np.inf)])
+    ranked = np.sort(np.lib.stride_tricks.sliding_window_view(padded, window), axis=1)
+    pos = np.arange(n)
+    count = np.minimum(pos + half + 1, n) - np.maximum(pos - half, 0)
+    out = ranked[pos, (count - 1) // 2]
+    even = np.flatnonzero(count % 2 == 0)
+    out[even] = (out[even] + ranked[even, count[even] // 2]) / 2
+    out[np.isnan(ranked[:, -1])] = np.nan
     return out
 
 
@@ -328,14 +337,15 @@ def balance_classes(records: list, seed: int) -> list:
     return [records[i] for i in range(len(records)) if i in keep]
 
 
-def _check_train_fraction(train_fraction: float) -> None:
-    if not (0.0 < train_fraction < 1.0):
-        raise ConfigInvalid(f"train_fraction must lie in (0, 1), got {train_fraction}")
+def check_fraction(value: float, key: str) -> None:
+    """Reject a split fraction outside (0, 1), naming the setting ``key``."""
+    if not (0.0 < value < 1.0):
+        raise ConfigInvalid(f"{key} must lie in (0, 1), got {value}")
 
 
 def split_train_test(records: list, train_fraction: float, seed: int) -> SplitDataset:
     """Seeded stratified split; both sides keep the class balance."""
-    _check_train_fraction(train_fraction)
+    check_fraction(train_fraction, "train_fraction")
     rng = np.random.default_rng(seed)
     train: list = []
     test: list = []
@@ -367,7 +377,7 @@ class PreprocessConfig:
     exclude_conflicts: bool = True
 
     def __post_init__(self):
-        _check_train_fraction(self.train_fraction)
+        check_fraction(self.train_fraction, "train_fraction")
 
 
 def _clean_one(rec: RawRecording, cfg: PreprocessConfig, rate_hz: float) -> CleanSeries:
@@ -469,19 +479,20 @@ def save_clean_series(series: CleanSeries, path: str | Path) -> None:
         key = name.lower()
         lines.append(f"# norm_min_{key}={lo!r}")
         lines.append(f"# norm_max_{key}={hi!r}")
+    # the column header and the rows end in "\r\n", as csv.writer ends them
+    header = "".join(f"{line}\n" for line in lines) + "mbp,hr\r\n"
+    rows = map("{!r},{!r}\r\n".format,
+               np.asarray(series.mbp, dtype=float).tolist(),
+               np.asarray(series.hr, dtype=float).tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["mbp", "hr"])
-        for a, b in zip(series.mbp, series.hr):
-            writer.writerow([repr(float(a)), repr(float(b))])
+        fh.write(header + "".join(rows))
 
 
 def load_clean_series(path: str | Path) -> CleanSeries:
     """Inverse of :func:`save_clean_series`; exact value round trip."""
     path = Path(path)
     meta: dict[str, str] = {}
-    rows: list[tuple[float, float]] = []
+    values: list[float] = []  # mbp, hr, mbp, hr, ...
     with open(path, newline="", encoding="utf-8") as fh:
         header_seen = False
         for raw_line in fh:
@@ -500,21 +511,19 @@ def load_clean_series(path: str | Path) -> CleanSeries:
             parts = line.split(",")
             if len(parts) != 2:
                 raise ParseError(f"{path}: bad row {line!r}")
-            rows.append((float(parts[0]), float(parts[1])))
+            values += map(float, parts)
     required = {"id", "label", "rate_hz", "norm_min_mbp", "norm_max_mbp",
                 "norm_min_hr", "norm_max_hr"}
     missing = required - meta.keys()
     if missing:
         raise ParseError(f"{path}: missing header keys {sorted(missing)}")
-    if not rows:
+    if not values:
         raise ParseError(f"{path}: no samples")
-    mbp = np.array([r[0] for r in rows])
-    hr = np.array([r[1] for r in rows])
     return CleanSeries(
         id=meta["id"],
         label=Label(meta["label"]),
-        mbp=mbp,
-        hr=hr,
+        mbp=np.array(values[0::2]),
+        hr=np.array(values[1::2]),
         marker_index=int(meta["marker_index"]) if "marker_index" in meta else None,
         rate_hz=float(meta["rate_hz"]),
         norm_params={

@@ -362,6 +362,7 @@ def _report_at(reports, threshold):
     raise AssertionError(f"no report at threshold {threshold}")
 
 
+@pytest.mark.slow
 class TestCriterion4:
     def test_end_to_end_accuracy(self, pipeline_run):
         """Bidirectional 2x32, window 100, horizon 750, batch 16, 50 epochs,
@@ -383,6 +384,7 @@ class TestCriterion4:
         assert elapsed < 900.0
 
 
+@pytest.mark.slow
 class TestCriterion5:
     def test_reaction_time(self, pipeline_run):
         """With onset planted 750 samples before the marker, the median
@@ -403,6 +405,7 @@ class TestCriterion5:
         assert med >= 450.0
 
 
+@pytest.mark.slow
 class TestCriterion7:
     def test_sweep_monotonicity(self, pipeline_run):
         """Across the 19-point threshold grid, per-series detection count
@@ -430,6 +433,7 @@ class TestCriterion7:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 class TestCriterion6:
     def test_bidirectional_trend(self, arch_comparison):
         """Over 5 seeds at a matched spec, median bidirectional accuracy

@@ -3,6 +3,7 @@ and bit-identical replay of recorded runs."""
 
 import argparse
 import filecmp
+import hashlib
 import json
 import re
 import shlex
@@ -412,7 +413,12 @@ class TestPipelineSmoke:
         assert record["seed"] == 3
         assert record["config"]["spec"] == "1x8"
         assert record["config"]["epochs"] == 2
-        assert set(record["versions"]) == {"python", "numpy", "scipy", "sentinel"}
+        assert set(record["versions"]) == {"python", "numpy", "scipy", "sentinel",
+                                           "blas"}
+        blas = record["versions"]["blas"]
+        assert blas is None or (set(blas) == {"library", "threads"}
+                                and "openblas" in blas["library"]
+                                and blas["threads"] >= 1)
         for rel in record["outputs"]:
             assert (pipeline / "train" / rel).exists()
         assert record["outputs"] == sorted(record["outputs"])
@@ -432,6 +438,39 @@ def replay_matches(run_dir: Path, new_dir: Path) -> bool:
         return False
     return all(filecmp.cmp(originals[rel], replays[rel], shallow=False)
                for rel in originals)
+
+
+def tree_digest(root: Path) -> str:
+    """sha256 over the relative path and bytes of every file but run.json."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file() and p.name != "run.json"):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
+class TestPreprocessGolden:
+    def test_golden_output_tree(self, tmp_path):
+        # parser, trim (three series too short), gap fill, outlier removal
+        # with its median filter, normalization, balance, split and the
+        # cleaned-CSV writer, pinned: none of them uses BLAS, so these bytes
+        # are the same on every machine
+        assert run_cli(
+            "synth", "--out", tmp_path / "synth", "--seed", 31,
+            "--n-syncope", 5, "--n-nosyncope", 5,
+            "--length-min", 950, "--length-max", 1300, "--onset-lead", 100,
+            "--corrupt", "--gap-probability", 0.01, "--spike-probability", 0.01,
+            "--log-level", "warning",
+        ) == 0
+        assert run_cli(
+            "preprocess", "--out", tmp_path / "prep",
+            "--data", tmp_path / "synth" / "data",
+            "--seed", 31, "--log-level", "warning",
+        ) == 0
+        report = (tmp_path / "prep" / "drop_report.csv").read_text()
+        assert report.count("trim,") == 3 and report.count("balance,") == 1
+        assert tree_digest(tmp_path / "prep") == (
+            "a62157e5daa0d813e672741325e6733255ae5c8dcd16358fa865ec398d1d1837")
 
 
 class TestReplay:
@@ -501,7 +540,7 @@ class TestExitCodes:
         assert code == 3
 
     @pytest.mark.parametrize("command, args, named", [
-        ("hpo", ["--inner-fraction", "1.5"], "train_fraction"),
+        ("hpo", ["--inner-fraction", "1.5"], "inner_fraction"),
         ("hpo", ["--epochs", "-1"], "epochs"),
         ("hpo", ["--n-init", "-2"], "n_init"),
         ("preprocess", ["--train-fraction", "1"], "train_fraction"),

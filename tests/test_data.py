@@ -138,6 +138,102 @@ class TestLoadRecording:
         assert rec.label is Label.NOSYNCOPE
 
 
+def raw_file(path, text):
+    """Write a recording CSV verbatim, blank lines and odd headers included."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+class TestLoadRecordingMessages:
+    """The exact error texts and row numbers of the parser, pinned."""
+
+    def error(self, exc_type, path, **kw):
+        with pytest.raises(exc_type) as info:
+            load_recording(path, **kw)
+        return str(info.value)
+
+    def test_bad_value(self, tmp_path):
+        path = write_rows(tmp_path / "syncope" / "bad.csv",
+                          [["0.0", "80", "70"], ["0.8", " eighty ", "70"]])
+        assert self.error(ParseError, path) == (
+            f"{path}: row 3, column mBP: bad value 'eighty'")
+
+    def test_bad_time_reported_before_bad_channel_of_same_row(self, tmp_path):
+        path = write_rows(tmp_path / "syncope" / "bad.csv",
+                          [["0.0", "80", "70"], ["soon", "x", "y"]])
+        assert self.error(ParseError, path) == (
+            f"{path}: row 3, column time_s: bad value 'soon'")
+
+    def test_empty_time(self, tmp_path):
+        path = write_rows(tmp_path / "syncope" / "notime.csv",
+                          [["0.0", "80", "70"], ["  ", "81", "70"]])
+        assert self.error(ParseError, path) == f"{path}: row 3: empty time_s"
+
+    def test_short_row_is_missing_samples(self, tmp_path):
+        path = raw_file(tmp_path / "syncope" / "short.csv",
+                        "time_s,mBP,HR\n0.0,80,70\n0.8,81\n1.6\n2.4,83,71\n")
+        rec = load_recording(path)
+        assert rec.channels["mBP"] == [(0.0, 80.0), (0.8, 81.0), (2.4, 83.0)]
+        assert rec.channels["HR"] == [(0.0, 70.0), (2.4, 71.0)]
+
+    def test_short_row_without_its_time_cell(self, tmp_path):
+        # time_s is the last column, so a short row has no time cell at all
+        path = raw_file(tmp_path / "syncope" / "late.csv",
+                        "mBP,HR,time_s\n80,70,0.0\n81,70\n")
+        assert self.error(ParseError, path) == f"{path}: row 3: empty time_s"
+
+    def test_blank_lines_are_not_counted_as_rows(self, tmp_path):
+        path = raw_file(tmp_path / "syncope" / "blank.csv",
+                        "time_s,mBP,HR\n\n0.0,80,70\n\n\n0.8,81,?\n")
+        assert self.error(ParseError, path) == (
+            f"{path}: row 3, column HR: bad value '?'")
+
+    def test_header_with_spaces_around_a_channel(self, tmp_path):
+        # names are stripped to find the columns but cells are looked up by
+        # the unstripped name, so " mBP" and " HR" read as empty columns
+        path = raw_file(tmp_path / "syncope" / "spaced.csv",
+                        "time_s, mBP, HR\n0.0,80,70\n0.8,81,70\n")
+        assert self.error(MissingChannel, path) == (
+            f"{path}: all channel columns are empty")
+
+    def test_header_with_spaces_around_time(self, tmp_path):
+        path = raw_file(tmp_path / "syncope" / "spaced.csv",
+                        " time_s ,mBP,HR\n0.0,80,70\n")
+        assert self.error(ParseError, path) == f"{path}: row 2: empty time_s"
+
+    def test_duplicate_column_reads_the_last(self, tmp_path):
+        path = raw_file(tmp_path / "syncope" / "twice.csv",
+                        "time_s,mBP,HR,mBP\n0.0,80,70,90\n0.8,81,70,91\n")
+        rec = load_recording(path)
+        assert rec.channels["mBP"] == [(0.0, 90.0), (0.8, 91.0)]
+
+    def test_off_grid_timestamp(self, tmp_path):
+        path = write_rows(tmp_path / "syncope" / "grid.csv",
+                          [["0.0", "80", "70"], ["0.8", "81", "70"],
+                           ["1.61", "", "70"], ["1.7", "82", "71"]])
+        assert self.error(ParseError, path) == (
+            "grid: channel mBP timestamp 1.7 is off the 1.25 Hz grid")
+
+    def test_time_going_back(self, tmp_path):
+        path = write_rows(tmp_path / "syncope" / "back.csv",
+                          [["0.0", "80", "70"], ["0.8", "", "70"],
+                           ["1.6", "82", "71"], ["0.8", "83", "72"]])
+        assert self.error(NonMonotonicTime, path) == (
+            "back: channel mBP time not strictly increasing at row 2")
+
+    def test_non_finite_value(self, tmp_path):
+        path = write_rows(tmp_path / "syncope" / "inf.csv",
+                          [["0.0", "80", "70"], ["0.8", "81", "inf"]])
+        assert self.error(ParseError, path) == "inf: non-finite sample in HR"
+
+    def test_empty_file_and_missing_time_column(self, tmp_path):
+        empty = raw_file(tmp_path / "syncope" / "empty.csv", "")
+        assert self.error(ParseError, empty) == f"{empty}: empty file"
+        blank = raw_file(tmp_path / "syncope" / "blank.csv", "\n0.0,80,70\n")
+        assert self.error(ParseError, blank) == f"{blank}: missing time_s column"
+
+
 class TestRoundTrip:
     def test_write_then_load_is_identity(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -202,7 +202,7 @@ class TestPooledTrace:
         blas = evaluate._openblas()
         if blas is None:
             pytest.skip("numpy's bundled OpenBLAS not found")
-        get, _ = blas
+        get = blas.get
         model, s = wide_model(), self.series()
         before = get()
         seen = []
