@@ -5,6 +5,10 @@ empty cell marks a missing sample (channels may start and end at different
 times). The class label comes from the parent directory name (``syncope/``
 or ``nosyncope/``) or from a ``manifest.csv`` sidecar, which may also carry
 the manually-marked syncope time per recording.
+
+In memory a channel is one float64 array of shape ``(n, 2)`` whose rows are
+``(time_s, value)`` in increasing time, from parse through trimming to the
+grid; ``len(channel)`` is its sample count.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +36,12 @@ CHANNEL_NAMES = ("mBP", "HR")
 GRID_TOLERANCE = 0.01
 
 
-def sample_arrays(samples: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
-    """Times and values of a channel's ``(t, v)`` samples as float arrays."""
-    flat = np.fromiter(chain.from_iterable(samples), float, count=2 * len(samples))
-    return flat[0::2], flat[1::2]
+def grid_position(t: float | np.ndarray, t0: float, rate_hz: float) -> float | np.ndarray:
+    """Nearest position of time(s) ``t`` on the ``rate_hz`` grid starting at
+    ``t0``: ``round((t - t0) / dt)`` with ``dt = 1 / rate_hz``, as float(s).
+    Every grid position in the package comes from here."""
+    dt = 1.0 / rate_hz
+    return np.round((t - t0) / dt)
 
 
 class Label(Enum):
@@ -49,35 +53,39 @@ class Label(Enum):
 class RawRecording:
     """One labelled multi-channel recording.
 
-    ``channels`` maps a channel name to a list of ``(time_s, value)``
-    samples; gaps are simply absent entries, never sentinel numbers.
+    ``channels`` maps a channel name to a C-ordered float64 array of shape
+    ``(n, 2)`` with rows ``(time_s, value)``; gaps are simply absent rows,
+    never sentinel numbers.
     """
 
     id: str
     label: Label
-    channels: dict[str, list[tuple[float, float]]]
+    channels: dict[str, np.ndarray]
     marker_time: float | None = None
-    source_path: str = ""
-    incomplete: bool = False
+
+    @property
+    def incomplete(self) -> bool:
+        """True when a channel of ``CHANNEL_NAMES`` is absent."""
+        return len(self.channels) < len(CHANNEL_NAMES)
 
     def time_span(self) -> tuple[float, float]:
         """Earliest and latest timestamp over all channels."""
-        starts = [ch[0][0] for ch in self.channels.values() if ch]
-        ends = [ch[-1][0] for ch in self.channels.values() if ch]
-        return min(starts), max(ends)
+        starts = [ch[0, 0] for ch in self.channels.values() if len(ch)]
+        ends = [ch[-1, 0] for ch in self.channels.values() if len(ch)]
+        return float(min(starts)), float(max(ends))
 
     def validate(self) -> None:
         if not self.channels:
             raise MissingChannel(f"{self.id}: no channels present")
         for name, samples in self.channels.items():
-            t, v = sample_arrays(samples)
+            t = samples[:, 0]
             back = np.flatnonzero(t[1:] <= t[:-1])
             if back.size:
                 raise NonMonotonicTime(
                     f"{self.id}: channel {name} time not strictly "
                     f"increasing at row {int(back[0]) + 1}"
                 )
-            if not (np.isfinite(t).all() and np.isfinite(v).all()):
+            if not np.isfinite(samples).all():
                 raise ParseError(f"{self.id}: non-finite sample in {name}")
         if self.marker_time is not None:
             lo, hi = self.time_span()
@@ -122,10 +130,10 @@ def _parse_cell(text: str, path: Path, row_no: int, col: str) -> float | None:
         raise ParseError(f"{path}: row {row_no}, column {col}: bad value {text!r}")
 
 
-def _column(header: list[str], name: str) -> int | None:
+def _column(fields: list[str], name: str) -> int | None:
     """Index of the column a cell named ``name`` is read from: the last
-    header cell equal to it, unstripped, or None when there is none."""
-    return max((j for j, f in enumerate(header) if f == name), default=None)
+    stripped header cell equal to it, or None when there is none."""
+    return max((j for j, f in enumerate(fields) if f == name), default=None)
 
 
 def _cell(row: list[str], col: int | None) -> str:
@@ -162,8 +170,8 @@ def load_recording(
             if not present:
                 raise MissingChannel(f"{path}: neither mBP nor HR present")
 
-            time_col = _column(header, "time_s")
-            columns = [(c, _column(header, c), [], []) for c in present]
+            time_col = _column(fields, "time_s")
+            columns = [(c, _column(fields, c), [], []) for c in present]
             row_no = 1
             for row in reader:
                 if not row:  # blank lines are skipped and not counted
@@ -187,7 +195,8 @@ def load_recording(
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
-    channels = {c: list(zip(times, values)) for c, _, times, values in columns if times}
+    channels = {c: np.column_stack((times, values))
+                for c, _, times, values in columns if times}
     if not channels:
         raise MissingChannel(f"{path}: all channel columns are empty")
 
@@ -196,8 +205,6 @@ def load_recording(
         label=label,
         channels=channels,
         marker_time=marker_time,
-        source_path=str(path),
-        incomplete=len(channels) < len(CHANNEL_NAMES),
     )
     rec.validate()
     _check_grid(rec, rate_hz)
@@ -209,12 +216,12 @@ def _check_grid(rec: RawRecording, rate_hz: float) -> None:
     dt = 1.0 / rate_hz
     t0 = rec.time_span()[0]
     for name, samples in rec.channels.items():
-        t, _ = sample_arrays(samples)
-        k = np.round((t - t0) / dt)
+        t = samples[:, 0]
+        k = grid_position(t, t0, rate_hz)
         off = np.flatnonzero(np.abs(t - (t0 + k * dt)) > GRID_TOLERANCE * dt)
         if off.size:
             raise ParseError(
-                f"{rec.id}: channel {name} timestamp {samples[off[0]][0]} is "
+                f"{rec.id}: channel {name} timestamp {t[off[0]]} is "
                 f"off the {rate_hz} Hz grid"
             )
 
@@ -229,7 +236,7 @@ def write_recording(rec: RawRecording, path: str | Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     by_time: dict[float, dict[str, float]] = {}
     for name, samples in rec.channels.items():
-        for t, v in samples:
+        for t, v in samples.tolist():
             by_time.setdefault(t, {})[name] = v
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -317,7 +324,7 @@ def _content_key(rec: RawRecording) -> tuple:
     # Hashable digest of channel values only: two recordings collide exactly
     # when every channel has the same length and the same sample values.
     return tuple(
-        (name, tuple(map(itemgetter(1), rec.channels[name])))
+        (name, tuple(rec.channels[name][:, 1].tolist()))
         for name in sorted(rec.channels)
     )
 

@@ -12,8 +12,7 @@ silently. All operations are pure; balancing and splitting are seeded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import compress
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ from .data import (
     Label,
     RawRecording,
     find_conflicts,
-    sample_arrays,
+    grid_position,
 )
 from .errors import (
     BadWindow,
@@ -62,7 +61,12 @@ class OutlierConfig:
 
 @dataclass
 class CleanSeries:
-    """Gap-free, outlier-cleaned, normalized 2-channel series at fixed rate."""
+    """Gap-free 2-channel series on the fixed-rate sample grid.
+
+    :func:`fill_gaps` returns it before outlier removal and normalization,
+    with empty ``norm_params``; the cleaning chain's output is
+    outlier-cleaned and normalized, with each channel's ``(min, max)``.
+    """
 
     id: str
     label: Label
@@ -88,21 +92,6 @@ class SplitDataset:
 
 
 @dataclass
-class GridRecording:
-    """Gap-free recording aligned to the common sample grid."""
-
-    id: str
-    label: Label
-    mbp: np.ndarray
-    hr: np.ndarray
-    marker_index: int | None
-    rate_hz: float
-
-    def __len__(self) -> int:
-        return len(self.mbp)
-
-
-@dataclass
 class DropReport:
     """Per-stage record of series that fell out of the pipeline."""
 
@@ -119,21 +108,18 @@ class DropReport:
 # --- grid helpers -------------------------------------------------------------
 
 
-def _grid_params(rec: RawRecording, rate_hz: float) -> tuple[float, float, int]:
-    """Common grid over both channels: start time, period, position count."""
-    dt = 1.0 / rate_hz
+def _grid_params(rec: RawRecording, rate_hz: float) -> tuple[float, int]:
+    """Common grid over both channels: start time and position count."""
     t0, t_end = rec.time_span()
-    n = int(round((t_end - t0) / dt)) + 1
-    return t0, dt, n
+    return t0, int(grid_position(t_end, t0, rate_hz)) + 1
 
 
-def _to_grid(samples: list[tuple[float, float]], t0: float, dt: float, n: int) -> np.ndarray:
-    """Place samples on the grid; absent positions become NaN."""
+def _to_grid(samples: np.ndarray, t0: float, rate_hz: float, n: int) -> np.ndarray:
+    """Place ``(n, 2)`` samples on the grid; absent positions become NaN."""
     out = np.full(n, np.nan)
-    t, v = sample_arrays(samples)
-    k = np.round((t - t0) / dt).astype(np.int64)
+    k = grid_position(samples[:, 0], t0, rate_hz).astype(np.int64)
     inside = (k >= 0) & (k < n)
-    out[k[inside]] = v[inside]
+    out[k[inside]] = samples[inside, 1]
     return out
 
 
@@ -146,30 +132,24 @@ def trim_series(rec: RawRecording, rate_hz: float = DEFAULT_RATE_HZ) -> RawRecor
     Returns None when fewer than 500 grid positions remain. The marker is
     cleared if it fell inside a trimmed region; timestamps are untouched.
     """
-    t0, dt, n = _grid_params(rec, rate_hz)
+    t0, n = _grid_params(rec, rate_hz)
     remaining = n - TRIM_HEAD - TRIM_TAIL
     if remaining < MIN_LENGTH:
         return None
+    dt = 1.0 / rate_hz
     lo = t0 + TRIM_HEAD * dt
     hi = t0 + (n - TRIM_TAIL) * dt
     channels = {}
     for name, samples in rec.channels.items():
-        k = np.round((sample_arrays(samples)[0] - t0) / dt)
-        inside = (k >= TRIM_HEAD) & (k < n - TRIM_TAIL)
-        kept = list(compress(samples, inside.tolist()))
-        if kept:
+        k = grid_position(samples[:, 0], t0, rate_hz)
+        kept = samples[(k >= TRIM_HEAD) & (k < n - TRIM_TAIL)]
+        if len(kept):
             channels[name] = kept
     marker = rec.marker_time
     if marker is not None and not (lo <= marker < hi):
         marker = None
-    return RawRecording(
-        id=rec.id,
-        label=rec.label,
-        channels=channels,
-        marker_time=marker,
-        source_path=rec.source_path,
-        incomplete=rec.incomplete or len(channels) < len(CHANNEL_NAMES),
-    )
+    return RawRecording(id=rec.id, label=rec.label, channels=channels,
+                        marker_time=marker)
 
 
 def fill_gap_values(x: np.ndarray) -> np.ndarray:
@@ -192,22 +172,26 @@ def fill_gap_values(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def fill_gaps(rec: RawRecording, rate_hz: float = DEFAULT_RATE_HZ) -> GridRecording:
-    """Align both channels to the common grid and fill every gap."""
+def fill_gaps(rec: RawRecording, rate_hz: float = DEFAULT_RATE_HZ) -> CleanSeries:
+    """Align both channels to the common grid and fill every gap.
+
+    The series is not yet outlier-cleaned or normalized: ``norm_params``
+    is empty.
+    """
     for name in CHANNEL_NAMES:
-        if not rec.channels.get(name):
+        if not len(rec.channels.get(name, ())):
             raise EmptyChannel(f"{rec.id}: channel {name} has no samples")
-    t0, dt, n = _grid_params(rec, rate_hz)
-    mbp = fill_gap_values(_to_grid(rec.channels["mBP"], t0, dt, n))
-    hr = fill_gap_values(_to_grid(rec.channels["HR"], t0, dt, n))
+    t0, n = _grid_params(rec, rate_hz)
+    mbp = fill_gap_values(_to_grid(rec.channels["mBP"], t0, rate_hz, n))
+    hr = fill_gap_values(_to_grid(rec.channels["HR"], t0, rate_hz, n))
     marker_index = None
     if rec.marker_time is not None:
-        k = int(round((rec.marker_time - t0) / dt))
+        k = int(grid_position(rec.marker_time, t0, rate_hz))
         if 0 <= k < n:
             marker_index = k
-    return GridRecording(
+    return CleanSeries(
         id=rec.id, label=rec.label, mbp=mbp, hr=hr,
-        marker_index=marker_index, rate_hz=rate_hz,
+        marker_index=marker_index, rate_hz=rate_hz, norm_params={},
     )
 
 
@@ -381,23 +365,14 @@ class PreprocessConfig:
 
 
 def _clean_one(rec: RawRecording, cfg: PreprocessConfig, rate_hz: float) -> CleanSeries:
-    grid = fill_gaps(rec, rate_hz)
+    series = fill_gaps(rec, rate_hz)
     cleaned = {}
     norm_params = {}
-    for name, values in (("mBP", grid.mbp), ("HR", grid.hr)):
+    for name, values in (("mBP", series.mbp), ("HR", series.hr)):
         result = remove_outliers_iterative(values, cfg.outlier)
-        normalized, params = minmax_normalize(result.values)
-        cleaned[name] = normalized
-        norm_params[name] = params
-    return CleanSeries(
-        id=grid.id,
-        label=grid.label,
-        mbp=cleaned["mBP"],
-        hr=cleaned["HR"],
-        marker_index=grid.marker_index,
-        rate_hz=rate_hz,
-        norm_params=norm_params,
-    )
+        cleaned[name], norm_params[name] = minmax_normalize(result.values)
+    return replace(series, mbp=cleaned["mBP"], hr=cleaned["HR"],
+                   norm_params=norm_params)
 
 
 def preprocess_pipeline(

@@ -192,13 +192,11 @@ def generate_series(cfg: SynthConfig, label: Label, sid: str,
     dt = 1.0 / cfg.rate_hz
     channels = {}
     for name, values in (("mBP", bp), ("HR", hr)):
-        keep = ~missing[name]
-        channels[name] = [(int(i) * dt, float(values[i]))
-                          for i in np.flatnonzero(keep)]
+        idx = np.flatnonzero(~missing[name])
+        channels[name] = np.column_stack((idx * dt, values[idx]))
     rec = RawRecording(
         id=sid, label=label, channels=channels,
         marker_time=None if marker is None else marker * dt,
-        source_path=None, incomplete=False,
     )
     truth = SeriesTruth(length=length, marker_index=marker,
                         spikes=spikes, gaps=gaps)

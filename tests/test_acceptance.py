@@ -323,11 +323,10 @@ class TestCriterion3:
                 line = (rng.uniform(-50.0, 50.0)
                         + rng.uniform(-0.5, 0.5) * np.arange(n))
                 masks[name], lines[name] = mask, line
-                channels[name] = [(i * dt, float(line[i]))
-                                  for i in np.flatnonzero(~mask)]
+                kept = np.flatnonzero(~mask)
+                channels[name] = np.column_stack((kept * dt, line[kept]))
             rec = RawRecording(id=sid, label=Label.NOSYNCOPE,
-                               channels=channels, marker_time=None,
-                               source_path=None, incomplete=False)
+                               channels=channels, marker_time=None)
             grid = fill_gaps(rec, cfg.rate_hz)
             for name, values in (("mBP", grid.mbp), ("HR", grid.hr)):
                 assert values.size == n

@@ -467,6 +467,9 @@ class TestPreprocessGolden:
             "--data", tmp_path / "synth" / "data",
             "--seed", 31, "--log-level", "warning",
         ) == 0
+        # the synthesized channels as written by write_recording
+        assert tree_digest(tmp_path / "synth") == (
+            "74c8ce8c8c4262917e7ab1ff779a42160f9e355857a8ea2077bb8759bd745da9")
         report = (tmp_path / "prep" / "drop_report.csv").read_text()
         assert report.count("trim,") == 3 and report.count("balance,") == 1
         assert tree_digest(tmp_path / "prep") == (

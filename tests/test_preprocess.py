@@ -51,8 +51,8 @@ DT = 1.0 / DEFAULT_RATE_HZ
 
 def grid_rec(n, label=Label.NOSYNCOPE, rid="r", marker_time=None, seed=0):
     rng = np.random.default_rng(seed)
-    mbp = [(i * DT, float(v)) for i, v in enumerate(rng.normal(85, 7, n))]
-    hr = [(i * DT, float(v)) for i, v in enumerate(rng.normal(70, 5, n))]
+    mbp = np.column_stack((np.arange(n) * DT, rng.normal(85, 7, n)))
+    hr = np.column_stack((np.arange(n) * DT, rng.normal(70, 5, n)))
     return RawRecording(id=rid, label=label,
                         channels={"mBP": mbp, "HR": hr},
                         marker_time=marker_time)
@@ -88,7 +88,7 @@ class TestTrim:
     def test_values_in_kept_region_untouched(self):
         rec = grid_rec(1200)
         out = trim_series(rec)
-        assert out.channels["mBP"] == rec.channels["mBP"][500:1150]
+        assert np.array_equal(out.channels["mBP"], rec.channels["mBP"][500:1150])
 
 
 class TestFillGaps:
@@ -114,8 +114,8 @@ class TestFillGaps:
 
     def test_late_starting_hr_takes_first_value(self):
         # 20-sample grid; HR only has samples from slot 8 onward
-        mbp = [(i * DT, 80.0 + i) for i in range(20)]
-        hr = [(i * DT, 60.0 + i) for i in range(8, 20)]
+        mbp = np.array([(i * DT, 80.0 + i) for i in range(20)])
+        hr = np.array([(i * DT, 60.0 + i) for i in range(8, 20)])
         rec = RawRecording(id="late", label=Label.NOSYNCOPE,
                            channels={"mBP": mbp, "HR": hr})
         grid = fill_gaps(rec)
@@ -127,8 +127,8 @@ class TestFillGaps:
     def test_idempotent_on_gap_free_input(self):
         rec = grid_rec(30, seed=9)
         grid = fill_gaps(rec)
-        assert np.array_equal(grid.mbp, [v for _, v in rec.channels["mBP"]])
-        assert np.array_equal(grid.hr, [v for _, v in rec.channels["HR"]])
+        assert np.array_equal(grid.mbp, rec.channels["mBP"][:, 1])
+        assert np.array_equal(grid.hr, rec.channels["HR"][:, 1])
 
     def test_marker_time_becomes_index(self):
         rec = grid_rec(40, marker_time=13 * DT)
@@ -136,7 +136,7 @@ class TestFillGaps:
 
     def test_missing_channel_raises(self):
         rec = RawRecording(id="x", label=Label.NOSYNCOPE,
-                           channels={"mBP": [(0.0, 1.0), (DT, 2.0)]})
+                           channels={"mBP": np.array([[0.0, 1.0], [DT, 2.0]])})
         with pytest.raises(EmptyChannel):
             fill_gaps(rec)
 
@@ -477,7 +477,7 @@ class TestPipeline:
             id="twin",
             label=(Label.NOSYNCOPE if donor.label is Label.SYNCOPE
                    else Label.SYNCOPE),
-            channels={k: list(v) for k, v in donor.channels.items()},
+            channels={k: v.copy() for k, v in donor.channels.items()},
         )
         catalog.records.append(twin)
         catalog.counts[twin.label] += 1
@@ -496,7 +496,7 @@ class TestPipeline:
             id="twin",
             label=(Label.NOSYNCOPE if donor.label is Label.SYNCOPE
                    else Label.SYNCOPE),
-            channels={k: list(v) for k, v in donor.channels.items()},
+            channels={k: v.copy() for k, v in donor.channels.items()},
         )
         catalog.records.append(twin)
         catalog.counts[twin.label] += 1
@@ -514,14 +514,13 @@ class TestCausality:
     def test_cleaned_prefix_ignores_later_samples(self):
         t = 300  # a grid position of the trimmed series
         rec = trim_series(grid_rec(1400, seed=21))
-        cut = rec.channels["mBP"][0][0] + t * DT
-        edited = RawRecording(
-            id=rec.id, label=rec.label,
-            channels={  # a blood-pressure collapse with a heart-rate rise after t
-                "mBP": [(ts, v - 30.0 if ts > cut else v) for ts, v in rec.channels["mBP"]],
-                "HR": [(ts, v + 20.0 if ts > cut else v) for ts, v in rec.channels["HR"]],
-            },
-        )
+        cut = rec.channels["mBP"][0, 0] + t * DT
+        # a blood-pressure collapse with a heart-rate rise after t
+        mbp, hr = rec.channels["mBP"].copy(), rec.channels["HR"].copy()
+        mbp[mbp[:, 0] > cut, 1] -= 30.0
+        hr[hr[:, 0] > cut, 1] += 20.0
+        edited = RawRecording(id=rec.id, label=rec.label,
+                              channels={"mBP": mbp, "HR": hr})
         before = _clean_one(rec, PreprocessConfig(), DEFAULT_RATE_HZ)
         after = _clean_one(edited, PreprocessConfig(), DEFAULT_RATE_HZ)
         assert np.array_equal(after.mbp[:t + 1], before.mbp[:t + 1])

@@ -68,7 +68,7 @@ class TestGeneratedTree:
         # gap-free: both channels cover every sample
         assert len(rec.channels["mBP"]) == truth.length
         assert len(rec.channels["HR"]) == truth.length
-        bp = np.array([v for _, v in rec.channels["mBP"]])
+        bp = rec.channels["mBP"][:, 1]
         m = truth.marker_index
         assert np.mean(bp[m - 200:m]) < np.mean(bp[:truth.length // 2])
 
@@ -107,8 +107,8 @@ class TestGeneratedTree:
         cfg = quiet_cfg(hr_noise_std=0.01, bp_noise_std=0.01, seed=3)
         rec, truth = synth.generate_series(
             cfg, Label.SYNCOPE, "s", np.random.default_rng(1))
-        bp = np.array([v for _, v in rec.channels["mBP"]])
-        hr = np.array([v for _, v in rec.channels["HR"]])
+        bp = rec.channels["mBP"][:, 1]
+        hr = rec.channels["HR"][:, 1]
         m = truth.marker_index
         onset = m - cfg.onset_lead
         bp_level = np.mean(bp[:onset - 50])
@@ -153,7 +153,7 @@ class TestCorruption:
                                  label=Label(label))
             truth = out.truth[sid]
             for ch in ("mBP", "HR"):
-                present = {round(t / dt) for t, _ in rec.channels[ch]}
+                present = set(np.round(rec.channels[ch][:, 0] / dt).astype(int).tolist())
                 gapped = set()
                 for start, glen in truth.gaps[ch]:
                     gapped.update(range(start, start + glen))
@@ -180,7 +180,7 @@ class TestCorruption:
         cfg = quiet_cfg(spike_probability=0.005, seed=17)
         rec, truth = synth.generate_series(
             cfg, Label.NOSYNCOPE, "n", np.random.default_rng(3))
-        bp = np.array([v for _, v in rec.channels["mBP"]])
+        bp = rec.channels["mBP"][:, 1]
         spikes = truth.spikes["mBP"]
         assert spikes  # seed chosen so at least one lands
         clean_std = cfg.bp_noise_std
