@@ -26,7 +26,6 @@ from sentinel.synth import SynthConfig, generate_dataset
 
 
 def main():
-    workdir = Path(tempfile.mkdtemp(prefix="cleaning_demo_"))
     cfg = SynthConfig(
         n_syncope=1,
         n_nosyncope=0,
@@ -37,8 +36,9 @@ def main():
         spike_sigma=20.0,
         seed=42,
     )
-    generated = generate_dataset(cfg, workdir)
-    catalog = scan_dataset(workdir)
+    with tempfile.TemporaryDirectory(prefix="cleaning_demo_") as tmp:
+        generated = generate_dataset(cfg, Path(tmp))
+        catalog = scan_dataset(Path(tmp))
     rec = catalog.records[0]
     truth = generated.truth[rec.id]
 

@@ -24,7 +24,6 @@ SEED = 11
 
 
 def main():
-    workdir = Path(tempfile.mkdtemp(prefix="hpo_demo_"))
     cfg = SynthConfig(
         n_syncope=10,
         n_nosyncope=10,
@@ -34,8 +33,9 @@ def main():
         bp_drop_fraction=0.35,
         seed=SEED,
     )
-    generate_dataset(cfg, workdir)
-    catalog = scan_dataset(workdir)
+    with tempfile.TemporaryDirectory(prefix="hpo_demo_") as tmp:
+        generate_dataset(cfg, Path(tmp))
+        catalog = scan_dataset(Path(tmp))
     split, _ = preprocess_pipeline(
         catalog, PreprocessConfig(train_fraction=0.8), seed=SEED)
     # the search scores candidates on an inner holdout carved from train

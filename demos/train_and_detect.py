@@ -22,7 +22,6 @@ SEED = 7
 
 
 def main():
-    workdir = Path(tempfile.mkdtemp(prefix="detect_demo_"))
     cfg = SynthConfig(
         n_syncope=14,
         n_nosyncope=14,
@@ -34,8 +33,9 @@ def main():
         hr_drop_fraction=0.30,
         seed=SEED,
     )
-    generate_dataset(cfg, workdir)
-    catalog = scan_dataset(workdir)
+    with tempfile.TemporaryDirectory(prefix="detect_demo_") as tmp:
+        generate_dataset(cfg, Path(tmp))
+        catalog = scan_dataset(Path(tmp))
     split, drops = preprocess_pipeline(
         catalog, PreprocessConfig(train_fraction=0.75), seed=SEED)
     print(f"cohort: {len(split.train)} train / {len(split.test)} test series "

@@ -44,6 +44,7 @@ from .errors import (
     UnknownCommand,
 )
 from .evaluate import (
+    DEFAULT_THRESHOLD,
     _openblas,
     default_threshold_grid,
     evaluate_dataset,
@@ -62,6 +63,7 @@ from .hpo import (
     phase2_space,
     read_trials_csv,
     run_phase,
+    run_phase2,
     run_two_phase,
     write_pd_csv,
     write_trials_csv,
@@ -193,7 +195,7 @@ COMMAND_OPTIONS: dict[str, tuple[Option, ...]] = {
     ),
     "evaluate": (
         *_SCORED,
-        Option("threshold", float, 0.5, help="detection threshold"),
+        _derived(evaluate_dataset, "threshold", help="detection threshold"),
         *_DETECTION,
     ),
     "sweep": (
@@ -569,7 +571,8 @@ def make_pipeline_objective(series, config: RunConfig, log):
         )
         model, _, _ = fit(inner, spec, tcfg)
         result = evaluate_dataset(
-            model, inner.test, float(params.get("output_threshold", 0.5)))
+            model, inner.test,
+            float(params.get("output_threshold", DEFAULT_THRESHOLD)))
         value = 1.0 - (result.accuracy if result.accuracy is not None else 0.0)
         log.info("objective %.4f at %s", value,
                  {k: params[k] for k in sorted(params)})
@@ -587,14 +590,10 @@ def _write_partial_dependence(space: SearchSpace, trials, seed: int,
     surrogate = observe(Surrogate(space, seed=seed),
                         [t.params for t in trials], [t.objective for t in trials])
     written = []
-    for i, dim in enumerate(space.dimensions):
-        rel = f"pd_{dim.name}.csv"
-        write_pd_csv(partial_dependence(surrogate, [i]), out / rel)
-        written.append(rel)
-    if len(space.dimensions) >= 2:
-        a, b = space.dimensions[0], space.dimensions[1]
-        rel = f"pd_{a.name}_{b.name}.csv"
-        write_pd_csv(partial_dependence(surrogate, [0, 1]), out / rel)
+    pairs = [[0, 1]] if len(space) >= 2 else []
+    for dims in [[i] for i in range(len(space))] + pairs:
+        rel = "pd_" + "_".join(space.names[i] for i in dims) + ".csv"
+        write_pd_csv(partial_dependence(surrogate, dims), out / rel)
         written.append(rel)
     return written
 
@@ -604,51 +603,40 @@ def _cmd_hpo(config: RunConfig, out: Path, log) -> list[str]:
     space = load_space_file(config["space"]) if config["space"] \
         else default_space()
     objective = make_pipeline_objective(series, config, log)
-    seed = config["seed"]
+    seed, n_init = config["seed"], config["n_init"]
     phase = str(config["phase"]).lower()
-    written: list[str] = []
 
-    if phase == "both":
-        result = run_two_phase(space, config["budget"], config["budget2"],
-                               objective, seed, n_init=config["n_init"])
-        sub = phase2_space(space)
-        write_trials_csv(result.phase1, space, out / "trials_phase1.csv")
-        write_trials_csv(result.phase2, sub, out / "trials_phase2.csv")
-        written += ["trials_phase1.csv", "trials_phase2.csv"]
-        best_params, best_objective = result.best_params, result.best_objective
-        pd_space, pd_trials, pd_seed = sub, result.phase2, result.seed2
-    elif phase == "1":
+    if phase == "1":
         trials, best = run_phase(space, config["budget"], objective, seed,
-                                 n_init=config["n_init"])
-        write_trials_csv(trials, space, out / "trials.csv")
-        written.append("trials.csv")
+                                 n_init=n_init)
+        logs = {"trials.csv": (trials, space)}
         best_params, best_objective = best.params, best.objective
         pd_space, pd_trials, pd_seed = space, trials, seed
-    elif phase == "2":
-        if not config["phase1_log"]:
-            raise ConfigInvalid(
-                "hpo: phase 2 needs phase1_log=<phase-1 trials CSV>"
-            )
-        prior = read_trials_csv(config["phase1_log"], space)
-        done = [t for t in prior if t.status == "done"]
-        if not done:
-            raise AllTrialsFailed("phase-1 log holds no successful trials")
-        best1 = min(done, key=lambda t: t.objective)
+    elif phase in ("2", "both"):
         sub = phase2_space(space)
-        fixed = {k: v for k, v in best1.params.items() if k not in sub.names}
-        trials, best = run_phase(
-            sub, config["budget"], lambda p: objective({**fixed, **p}),
-            seed, n_init=config["n_init"])
-        write_trials_csv(trials, sub, out / "trials.csv")
-        written.append("trials.csv")
-        best_params = {**fixed, **best.params}
-        best_objective = best.objective
-        pd_space, pd_trials, pd_seed = sub, trials, seed
+        if phase == "both":
+            result = run_two_phase(space, config["budget"], config["budget2"],
+                                   objective, seed, n_init=n_init)
+            logs = {"trials_phase1.csv": (result.phase1, space),
+                    "trials_phase2.csv": (result.phase2, sub)}
+        else:
+            if not config["phase1_log"]:
+                raise ConfigInvalid(
+                    "hpo: phase 2 needs phase1_log=<phase-1 trials CSV>"
+                )
+            result = run_phase2(space, read_trials_csv(config["phase1_log"], space),
+                                config["budget"], objective, seed, n_init=n_init)
+            logs = {"trials.csv": (result.phase2, sub)}
+        best_params, best_objective = result.best_params, result.best_objective
+        pd_space, pd_trials, pd_seed = sub, result.phase2, result.seed2
     else:
         raise ConfigInvalid(
             f"hpo: phase must be 1, 2 or both, got {config['phase']!r}"
         )
 
+    written = list(logs)
+    for rel, (trials, trial_space) in logs.items():
+        write_trials_csv(trials, trial_space, out / rel)
     with open(out / "best.json", "w", encoding="utf-8") as fh:
         json.dump({"params": best_params, "objective": best_objective},
                   fh, indent=2, sort_keys=True)

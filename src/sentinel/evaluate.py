@@ -38,6 +38,7 @@ from .errors import (
 from .nn import GruModel, forward_batch
 from .preprocess import CleanSeries
 
+DEFAULT_THRESHOLD = 0.5  # P(syncope) at or above which a window alarms
 EVAL_CHUNK = 256  # windows in flight at once when tracing a series
 # Models whose widest layer is narrower than this trace serially: their
 # per-step numpy calls are too short to release the interpreter lock
@@ -244,7 +245,8 @@ def detect_series(model: GruModel, series: CleanSeries, threshold: float,
     return window_end(model, detect_from_trace(trace, threshold, consecutive))
 
 
-def evaluate_dataset(model: GruModel, series_list: list[CleanSeries], threshold: float,
+def evaluate_dataset(model: GruModel, series_list: list[CleanSeries],
+                     threshold: float = DEFAULT_THRESHOLD,
                      consecutive: int = 1, beta: float = 1.0,
                      traces: dict[str, np.ndarray] | None = None) -> EvalReport:
     """Classify every series by threshold detection and tally the confusion.

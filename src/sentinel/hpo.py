@@ -5,7 +5,11 @@ hyperparameters refit by maximum likelihood after every observation) models
 the classification error over a seven-dimensional search space; expected
 improvement picks each next candidate from a seeded pool. Phase 1 searches
 all dimensions, phase 2 re-searches only the three most influential ones
-(units, layers, window size) with the rest pinned at the phase-1 best.
+(units, layers, window size) with the rest pinned at the phase-1 best. Phase
+2 always searches with the phase-1 seed + 1 and reports the better of the
+two phases' best points, whether it follows phase 1 in one run
+(:func:`run_two_phase`) or reads phase 1 back from its trials log
+(:func:`run_phase2`), so both give the same trials and the same best.
 
 The GP works in a unit hypercube; integer dimensions round on the way out,
 log-real dimensions map exponentially. The objective convention is
@@ -23,7 +27,7 @@ import numpy as np
 from scipy import optimize
 from scipy.stats import norm, qmc
 
-from .errors import AllTrialsFailed, ConfigError, DegenerateSurrogate
+from .errors import AllTrialsFailed, ConfigError, ConfigInvalid, DegenerateSurrogate
 
 log = logging.getLogger(__name__)
 
@@ -295,14 +299,11 @@ def _sobol_point(d: int, index: int, seed: int) -> np.ndarray:
     return sob.random(count)[index]
 
 
-def suggest_next(surr: Surrogate, space: SearchSpace | None = None,
-                 seed: int | None = None, n_init: int = N_INIT) -> dict:
-    """Next point to evaluate: quasi-random for the first n_init calls, then
-    the best of N_CANDIDATES seeded uniform candidates by expected
-    improvement."""
-    space = space or surr.space
-    seed = surr.seed if seed is None else seed
-    n = surr.n_observed
+def suggest_next(surr: Surrogate, n_init: int = N_INIT) -> dict:
+    """Next point of the surrogate's space to evaluate, seeded by its seed:
+    quasi-random for the first n_init calls, then the best of N_CANDIDATES
+    seeded uniform candidates by expected improvement."""
+    space, seed, n = surr.space, surr.seed, surr.n_observed
     if n < n_init:
         return space.from_unit(_sobol_point(len(space), n, seed))
     rng = np.random.default_rng([seed, n, 2])
@@ -328,7 +329,7 @@ def run_phase(space: SearchSpace, budget: int, objective_fn, seed: int,
     surr = Surrogate(space, seed=seed)
     trials: list[HpoTrial] = []
     for _ in range(budget):
-        params = suggest_next(surr, space, seed, n_init=n_init)
+        params = suggest_next(surr, n_init=n_init)
         try:
             value = float(objective_fn(params))
             if not np.isfinite(value):
@@ -342,46 +343,51 @@ def run_phase(space: SearchSpace, budget: int, objective_fn, seed: int,
                         {k: params[k] for k in sorted(params)})
             trials.append(HpoTrial(params=params, objective=1.0, status="failed"))
             observe(surr, params, 1.0)
+    return trials, best_trial(trials)
+
+
+def best_trial(trials: list[HpoTrial]) -> HpoTrial:
+    """The first of the lowest-objective trials marked done."""
     done = [t for t in trials if t.status == "done"]
     if not done:
-        raise AllTrialsFailed(f"all {budget} trials failed")
-    best = min(done, key=lambda t: t.objective)
-    return trials, best
+        raise AllTrialsFailed(f"none of {len(trials)} trials succeeded")
+    return min(done, key=lambda t: t.objective)
 
 
 @dataclass
 class TwoPhaseResult:
     phase1: list[HpoTrial]
-    best1: HpoTrial
     phase2: list[HpoTrial]
-    best2: HpoTrial
     best_params: dict
     best_objective: float
     seed2: int  # the seed phase 2 searched with
 
 
-def run_two_phase(space: SearchSpace, budget1: int, budget2: int, objective_fn,
-                  seed: int, n_init: int = N_INIT) -> TwoPhaseResult:
-    """Phase 1 over all dims, then phase 2 over units/layers/window with the
-    remaining parameters pinned at the phase-1 best, searched with seed + 1."""
-    trials1, best1 = run_phase(space, budget1, objective_fn, seed, n_init=n_init)
+def run_phase2(space: SearchSpace, phase1_trials: list[HpoTrial], budget: int,
+               objective_fn, seed: int, n_init: int = N_INIT) -> TwoPhaseResult:
+    """Phase 2 after a phase-1 search of ``space`` with ``seed``: search
+    units/layers/window with seed + 1 and the remaining parameters pinned at
+    the phase-1 best. The result's best is the better of the two phases,
+    phase 2 winning ties."""
+    best1 = best_trial(phase1_trials)
     sub = phase2_space(space)
     fixed = {k: v for k, v in best1.params.items() if k not in sub.names}
-
-    def restricted(params: dict) -> float:
-        return objective_fn({**fixed, **params})
-
     seed2 = seed + 1
-    trials2, best2 = run_phase(sub, budget2, restricted, seed2, n_init=n_init)
+    trials2, best2 = run_phase(sub, budget, lambda p: objective_fn({**fixed, **p}),
+                               seed2, n_init=n_init)
     if best2.objective <= best1.objective:
-        best_params = {**fixed, **best2.params}
-        best_objective = best2.objective
+        best_params, best_objective = {**fixed, **best2.params}, best2.objective
     else:
-        best_params = dict(best1.params)
-        best_objective = best1.objective
-    return TwoPhaseResult(phase1=trials1, best1=best1, phase2=trials2,
-                          best2=best2, best_params=best_params,
-                          best_objective=best_objective, seed2=seed2)
+        best_params, best_objective = dict(best1.params), best1.objective
+    return TwoPhaseResult(phase1_trials, trials2, best_params, best_objective,
+                          seed2)
+
+
+def run_two_phase(space: SearchSpace, budget1: int, budget2: int, objective_fn,
+                  seed: int, n_init: int = N_INIT) -> TwoPhaseResult:
+    """Phase 1 over all dims with ``seed``, then :func:`run_phase2`."""
+    trials1, _ = run_phase(space, budget1, objective_fn, seed, n_init=n_init)
+    return run_phase2(space, trials1, budget2, objective_fn, seed, n_init=n_init)
 
 
 # --- partial dependence -----------------------------------------------------------
@@ -416,26 +422,15 @@ def partial_dependence(surr: Surrogate, dims: list[int], grid: int = 20) -> Part
         raise ConfigError("dims must be distinct")
     space_dims = [surr.space.dimensions[i] for i in dims]
     grids = [_dim_grid(d, grid) for d in space_dims]
-    base = surr.x
-    if len(dims) == 1:
-        vals, units = grids[0]
-        out = np.empty(len(vals))
-        for gi, gu in enumerate(units):
-            xq = base.copy()
-            xq[:, dims[0]] = gu
-            mu, _ = surr.posterior(xq)
-            out[gi] = mu.mean()
-        return PartialDependence([space_dims[0].name], [vals], out)
-    (va, ua), (vb, ub) = grids
-    out = np.empty((len(va), len(vb)))
-    for i, gua in enumerate(ua):
-        for j, gub in enumerate(ub):
-            xq = base.copy()
-            xq[:, dims[0]] = gua
-            xq[:, dims[1]] = gub
-            mu, _ = surr.posterior(xq)
-            out[i, j] = mu.mean()
-    return PartialDependence([d.name for d in space_dims], [va, vb], out)
+    out = np.empty([len(vals) for vals, _ in grids])
+    for idx in np.ndindex(out.shape):  # row-major, the last dim fastest
+        xq = surr.x.copy()
+        for dim, (_, units), g in zip(dims, grids, idx):
+            xq[:, dim] = units[g]
+        mu, _ = surr.posterior(xq)
+        out[idx] = mu.mean()
+    return PartialDependence([d.name for d in space_dims],
+                             [vals for vals, _ in grids], out)
 
 
 # --- persistence ------------------------------------------------------------------
@@ -457,19 +452,40 @@ def write_trials_csv(trials: list[HpoTrial], space: SearchSpace, path) -> None:
 
 
 def read_trials_csv(path, space: SearchSpace) -> list[HpoTrial]:
+    """Read a trials log of ``space``. A log comes from outside the program,
+    so a missing column, a bad value, a point outside ``space`` or an unknown
+    status raises ConfigInvalid naming the file, the row and the cause."""
     import csv
 
+    columns = [(d.name, int if d.kind == "integer" else float)
+               for d in space.dimensions] + [("objective", float)]
     trials = []
-    with open(path) as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            params = {}
-            for d in space.dimensions:
-                raw = row[d.name]
-                params[d.name] = int(raw) if d.kind == "integer" else float(raw)
-            trials.append(HpoTrial(params=params,
-                                   objective=float(row["objective"]),
-                                   status=row["status"]))
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            for name in (*space.names, "objective", "status"):
+                if name not in (reader.fieldnames or ()):
+                    raise ConfigInvalid(f"{path}: header lacks column '{name}'")
+            for row in reader:
+                where = f"{path}: row {reader.line_num}"
+                params = {}
+                for name, kind in columns:
+                    try:
+                        params[name] = kind(row[name])
+                    except (TypeError, ValueError):
+                        raise ConfigInvalid(
+                            f"{where}: bad {name} value {row[name]!r}") from None
+                objective = params.pop("objective")
+                if not space.contains(params):
+                    raise ConfigInvalid(f"{where}: {params} is outside the space")
+                if not np.isfinite(objective):
+                    raise ConfigInvalid(f"{where}: objective {objective!r}")
+                if row["status"] not in ("done", "failed"):
+                    raise ConfigInvalid(f"{where}: status {row['status']!r} "
+                                        f"is not done or failed")
+                trials.append(HpoTrial(params, objective, row["status"]))
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot read trials log {path}: {exc}") from exc
     return trials
 
 
@@ -478,13 +494,7 @@ def write_pd_csv(pd: PartialDependence, path) -> None:
 
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        if len(pd.dim_names) == 1:
-            w.writerow([pd.dim_names[0], "mean_objective"])
-            for v, m in zip(pd.grids[0], pd.values):
-                w.writerow([repr(float(v)), repr(float(m))])
-        else:
-            w.writerow([*pd.dim_names, "mean_objective"])
-            for i, va in enumerate(pd.grids[0]):
-                for j, vb in enumerate(pd.grids[1]):
-                    w.writerow([repr(float(va)), repr(float(vb)),
-                                repr(float(pd.values[i, j]))])
+        w.writerow([*pd.dim_names, "mean_objective"])
+        for idx in np.ndindex(pd.values.shape):
+            w.writerow([*(repr(float(vals[g])) for vals, g in zip(pd.grids, idx)),
+                        repr(float(pd.values[idx]))])

@@ -252,6 +252,15 @@ lower = 40
 upper = 80
 """
 
+# a phase-1 space with one dimension that phase 2 pins
+PINNED_SPACE_INI = SPACE_INI + """
+[learning_rate]
+kind = log-real
+lower = 0.3
+upper = 1.0
+"""
+LOG_HEADER = "trial,gru_units,window_size,learning_rate,objective,status"
+
 
 class TestSpaceFile:
     def test_parse(self, tmp_path):
@@ -393,6 +402,30 @@ class TestPipelineSmoke:
         # seed + 1), then a single fit over phase 2's trials for the pd files
         assert fits == [(5, 1), (5, 2), (5, 3), (6, 1), (6, 2), (6, 2)]
         assert (out / "pd_gru_units_window_size.csv").exists()
+
+    def test_hpo_phase1_then_phase2_equals_both(self, pipeline, tmp_path):
+        space = tmp_path / "space.ini"
+        space.write_text(PINNED_SPACE_INI)
+        common = ["--train-dir", pipeline / "prep" / "clean" / "train",
+                  "--space", space, "--n-init", 2, "--epochs", 1,
+                  "--stride", 80, "--seed", 5, "--log-level", "warning"]
+        p1, p2, both = tmp_path / "p1", tmp_path / "p2", tmp_path / "both"
+        assert run_cli("hpo", "--out", p1, "--phase", "1", "--budget", 3,
+                       *common) == 0
+        assert run_cli("hpo", "--out", p2, "--phase", "2", "--budget", 2,
+                       "--phase1-log", p1 / "trials.csv", *common) == 0
+        assert run_cli("hpo", "--out", both, "--phase", "both", "--budget", 3,
+                       "--budget2", 2, *common) == 0
+        pairs = [(p1 / "trials.csv", both / "trials_phase1.csv"),
+                 (p2 / "trials.csv", both / "trials_phase2.csv"),
+                 (p2 / "best.json", both / "best.json")]
+        pd_names = sorted(p.name for p in both.glob("pd_*.csv"))
+        assert pd_names == sorted(p.name for p in p2.glob("pd_*.csv"))
+        assert pd_names == ["pd_gru_units.csv", "pd_gru_units_window_size.csv",
+                            "pd_window_size.csv"]
+        pairs += [(p2 / name, both / name) for name in pd_names]
+        for split, joint in pairs:
+            assert split.read_bytes() == joint.read_bytes(), split.name
 
     def test_report_renders_html_and_svg(self, pipeline):
         out = pipeline / "report"
@@ -565,6 +598,37 @@ class TestExitCodes:
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert named in err["message"]
+        assert fits == []
+
+    @pytest.mark.parametrize("rows, named", [
+        (None, "cannot read"),
+        (["trial,gru_units,window_size,objective,status", "0,5,50,0.5,done"],
+         "lacks column 'learning_rate'"),
+        ([LOG_HEADER, "0,5,50,0.5,0.5,done", "1,6,60,0.5,abc,done"],
+         "row 3: bad objective value 'abc'"),
+        ([LOG_HEADER, "0,5,50,0.5,nan,done"], "row 2: objective nan"),
+        ([LOG_HEADER, "0,700,50,0.5,0.5,done"], "row 2: {'gru_units': 700"),
+        ([LOG_HEADER, "0,5,50,0.5,0.5,maybe"], "row 2: status 'maybe'"),
+    ], ids=["missing", "phase2-log", "non-numeric", "non-finite", "outside",
+            "status"])
+    def test_bad_phase1_log_exits_2_before_any_work(self, pipeline, tmp_path,
+                                                    monkeypatch, capsys,
+                                                    rows, named):
+        fits = []
+        monkeypatch.setattr(cli, "fit", lambda *a, **k: fits.append(a))
+        space = tmp_path / "space.ini"
+        space.write_text(PINNED_SPACE_INI)
+        log = tmp_path / "phase1.csv"
+        if rows is not None:
+            log.write_text("\n".join(rows) + "\n")
+        code = run_cli("hpo", "--train-dir", pipeline / "prep" / "clean" / "train",
+                       "--space", space, "--phase", "2", "--phase1-log", log,
+                       "--budget", 2, "--n-init", 2, "--stride", 80,
+                       "--out", tmp_path / "o", "--log-level", "error")
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigInvalid"
+        assert str(log) in err["message"] and named in err["message"]
         assert fits == []
 
     def test_report_missing_input_exits_2(self, tmp_path):

@@ -1,6 +1,7 @@
 """The demo scripts run end to end and print their seeded results."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ def run_demo(name, tmp_path):
     done = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
                           capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
+    assert list(tmp_path.glob("*_demo_*")) == []  # the demo cleaned up
     return done.stdout.splitlines()
 
 
@@ -36,3 +38,13 @@ def test_cleaning_walkthrough_stage_lines(tmp_path):
         "",
         "minmax: mBP raw range [53.2, 92.0] mapped to [-1.00, 1.00]",
     ]
+
+
+def test_hyperparameter_search_prints_both_phases(tmp_path):
+    lines = run_demo("hyperparameter_search.py", tmp_path)
+    phase1 = lines.index("phase 1 (full space):")
+    phase2 = lines.index("phase 2 (architecture dims, rest pinned):")
+    trial = re.compile(r"\s+\d+: units=")
+    assert sum(bool(trial.match(line)) for line in lines[phase1:phase2]) == 10
+    assert sum(bool(trial.match(line)) for line in lines[phase2:]) == 6
+    assert sum(line.startswith("best objective ") for line in lines) == 1

@@ -164,9 +164,9 @@ class TestExpectedImprovement:
 class TestSuggest:
     def test_first_point_deterministic(self):
         space = hpo.default_space()
-        a = hpo.suggest_next(hpo.Surrogate(space, seed=5), space, seed=5)
-        b = hpo.suggest_next(hpo.Surrogate(space, seed=5), space, seed=5)
-        c = hpo.suggest_next(hpo.Surrogate(space, seed=6), space, seed=6)
+        a = hpo.suggest_next(hpo.Surrogate(space, seed=5))
+        b = hpo.suggest_next(hpo.Surrogate(space, seed=5))
+        c = hpo.suggest_next(hpo.Surrogate(space, seed=6))
         assert a == b
         assert space.contains(a)
         assert a != c
@@ -176,7 +176,7 @@ class TestSuggest:
         surr = hpo.Surrogate(space, seed=7)
         rng = np.random.default_rng(7)
         for _ in range(12):
-            params = hpo.suggest_next(surr, space, seed=7)
+            params = hpo.suggest_next(surr)
             assert space.contains(params)
             for d in space.dimensions:
                 if d.kind == "integer":
@@ -279,12 +279,14 @@ class TestTwoPhase:
         assert len(result.phase2) == 5
         for t in result.phase2:
             assert set(t.params) == {"gru_units", "gru_layers", "window_size"}
+        best1 = hpo.best_trial(result.phase1)
+        best2 = hpo.best_trial(result.phase2)
         assert set(result.best_params) == set(space.names)
         for name in ("batch_size", "learning_rate", "lr_decay", "output_threshold"):
-            assert result.best_params[name] == result.best1.params[name]
-        assert result.best_objective == min(result.best1.objective,
-                                            result.best2.objective)
-        assert result.best_objective <= result.best1.objective
+            assert result.best_params[name] == best1.params[name]
+        assert result.best_objective == min(best1.objective, best2.objective)
+        assert result.best_objective <= best1.objective
+        assert result.seed2 == 12
 
 
 class TestPartialDependence:
