@@ -35,7 +35,7 @@ from .hpo import (  # noqa: F401
     run_phase,
     run_two_phase,
 )
-from .nn import GruModel, ModelSpec, forward_batch, forward_sequence  # noqa: F401
+from .nn import GruModel, ModelSpec, forward_batch  # noqa: F401
 from .preprocess import (  # noqa: F401
     CleanSeries,
     OutlierConfig,

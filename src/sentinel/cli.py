@@ -207,8 +207,8 @@ COMMAND_OPTIONS: dict[str, tuple[Option, ...]] = {
     "hpo": (
         _TRAIN_DIR,
         Option("phase", str, "both", help="1, 2, or both"),
-        Option("budget", int, 16, help="trials for phase 1 (or phase 2)"),
-        Option("budget2", int, 8, help="phase-2 trials when phase=both"),
+        Option("budget", int, 16, help="phase-1 trials"),
+        Option("budget2", int, 8, help="phase-2 trials"),
         _derived(run_phase, "n_init", help="quasi-random warmup trials"),
         Option("epochs", int, 5, help="training epochs per trial",
                field="epochs"),
@@ -625,7 +625,7 @@ def _cmd_hpo(config: RunConfig, out: Path, log) -> list[str]:
                     "hpo: phase 2 needs phase1_log=<phase-1 trials CSV>"
                 )
             result = run_phase2(space, read_trials_csv(config["phase1_log"], space),
-                                config["budget"], objective, seed, n_init=n_init)
+                                config["budget2"], objective, seed, n_init=n_init)
             logs = {"trials.csv": (result.phase2, sub)}
         best_params, best_objective = result.best_params, result.best_objective
         pd_space, pd_trials, pd_seed = sub, result.phase2, result.seed2

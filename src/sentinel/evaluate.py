@@ -160,7 +160,8 @@ def _trace_workers(model: GruModel) -> int:
 
 @contextmanager
 def _one_blas_thread():
-    """Hold OpenBLAS to one thread, where it is found, while a pool calls it."""
+    """Hold OpenBLAS to one thread, where it is found, while a pool or
+    ``train.fit`` calls it."""
     blas = _openblas()
     if blas is None:
         yield

@@ -20,22 +20,33 @@ n_dir (2 when bidirectional, else 1), forward first: ``wx`` (n_dir, D, 3H),
 checkpoints stay per direction. The backward direction's input is reversed
 in time once, before the loop; one time loop then advances every direction
 with leading-axis matmuls. Forward-only models run the same code with
-n_dir = 1. Scans are time-major, (n_dir, T, batch, ...).
+n_dir = 1. Scan arrays are time-major with the gates and directions inside,
+(T, [gate,] n_dir, batch, H), so each step's slice is one contiguous block.
 
-Reduction order: BPTT's sums over rows, d_wx = x^T d_pre and
-d_b = sum(d_pre), take the rows in (batch, time) order. Float sums depend on
-their order, so any other order would change the trained weights.
+Backpropagation: the backward time loop carries only the state gradient.
+The factors that turn it into each gate's pre-activation gradient are built
+before the loop in whole-array passes, and every sum over rows is taken
+after it.
 
-All arithmetic is float64; batched kernels keep the per-step work to two
-small matmuls and one sigmoid (on the fused z|r pre-activation) for all
-directions together so CPU training stays fast. The sigmoid is taken in
-tanh form, which cannot overflow at any input and needs no sign masks.
+Reduction order: per direction, each sum over rows is one product over all
+(time, batch) rows, in that order (time in processing order, batch inside
+it): d_wx = x^T d_pre, d_b = sum(d_pre), and over the rows of steps 1..T-1
+(step 0 reads the zero state) d_u_zr = h_prev^T [d_z|d_r] and
+d_u_c = (r * h_prev)^T d_c. Float sums depend on their order, so another
+order would change the trained weights; ``train.fit`` also holds BLAS to one
+thread, whose count changes how it splits a product.
+
+All arithmetic is float64. Per step and for all directions together, the
+forward loop makes two small matmuls and two tanh calls; the sigmoid is
+taken in tanh form, with its halving folded into the z and r weights, so
+it cannot overflow at any input and needs no sign masks.
 """
 
 from __future__ import annotations
 
 from copy import deepcopy
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -47,7 +58,8 @@ PROB_FLOOR = 1e-12
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # 1/(1+exp(-x)) == (1+tanh(x/2))/2: tanh saturates where exp would
     # overflow, so no input raises a warning and no split by sign (masks
-    # and gathered temporaries) is needed.
+    # and gathered temporaries) is needed. ``_scan`` computes the same
+    # function with the halving folded into the z and r weights.
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
@@ -199,81 +211,128 @@ def _time_aligned(seqs) -> list[np.ndarray]:
 @dataclass
 class _ScanCache:
     seq: np.ndarray | None  # (T, B, D) input in natural time; None: inference
-    zrs: np.ndarray | None  # (n_dir, T, B, 2H) update|reset gates
-    cs: np.ndarray | None   # (n_dir, T, B, H) candidates
-    hs: np.ndarray          # (n_dir, T, B, H) emitted states in processing order
+    zrs: np.ndarray | None  # (T, 2, n_dir, B, H) update and reset gates
+    cs: np.ndarray | None   # (T, n_dir, B, H) candidates
+    hs: np.ndarray          # (T, n_dir, B, H) emitted states in processing order
+
+
+def _by_gate(a: np.ndarray, gates: int) -> np.ndarray:
+    """The gate columns [g0|g1|...] of a stacked (n_dir, R, gates*H)
+    parameter as a leading gate axis: (gates, n_dir, R, H)."""
+    n, rows, _ = a.shape
+    return a.reshape(n, rows, gates, -1).transpose(2, 0, 1, 3)
 
 
 def _scan(seq: np.ndarray, layer: GruLayer, need_cache: bool) -> _ScanCache:
     """Run every direction of ``layer`` over the time-major sequence
-    ``seq`` (T, B, D), all of them in one time loop."""
+    ``seq`` (T, B, D), all of them in one time loop.
+
+    sigmoid(a) = 0.5 + 0.5 tanh(a / 2), with the halving folded into the z
+    and r weights and biases: a power-of-two scale is exact, so the gates
+    equal :func:`sigmoid` of their pre-activations.
+    """
     T, B, D = seq.shape
     n, H = layer.n_dir, layer.units
-    # One (T*B, D) @ (D, 3H) product per direction, into one buffer: no
-    # stacked copy of the input is made. A product split over time can
-    # round differently (OpenBLAS picks its kernels by shape).
-    xp = np.empty((n, T, B, 3 * H))
-    for k, x in enumerate(_time_aligned([seq] * n)):
-        np.matmul(x.reshape(T * B, D), layer.wx[k], out=xp[k].reshape(T * B, 3 * H))
-    xp += layer.b[:, None, None]
-    hs = np.empty((n, T, B, H))
+    scale = np.array([0.5, 0.5, 1.0])[:, None, None, None]
+    w = _by_gate(layer.wx, 3) * scale  # (3, n, D, H)
+    b = _by_gate(layer.b[:, None], 3) * scale  # (3, n, 1, H)
+    u_zr = _by_gate(layer.u_zr, 2) * 0.5  # (2, n, H, H)
+    # One (T*B, D) @ (D, H) product per gate and direction, over the input
+    # in natural time: the backward direction's is reversed as it is stored,
+    # so no reversed copy of the input is made.
+    xp = np.empty((T, 3, n, B, H))
+    rows = seq.reshape(T * B, D)
+    for g in range(3):
+        for k in range(n):
+            np.add((rows @ w[g, k]).reshape(T, B, H)[::(-1) ** k], b[g, k], out=xp[:, g, k])
+    hs = np.empty((T, n, B, H))
     if need_cache:
-        zrs = np.empty((n, T, B, 2 * H))
-        cs = np.empty((n, T, B, H))
+        zrs, cs = np.empty((T, 2, n, B, H)), np.empty((T, n, B, H))
+        gates = zip(zrs, cs)
+    else:
+        gates = repeat((np.empty((2, n, B, H)), np.empty((n, B, H))), T)
     h = np.zeros((n, B, H))
-    for t in range(T):
-        zr = sigmoid(xp[:, t, :, :2 * H] + h @ layer.u_zr)
-        z, r = zr[..., :H], zr[..., H:]
-        c = np.tanh(xp[:, t, :, 2 * H:] + (r * h) @ layer.u_c)
-        h = (1.0 - z) * h + z * c
-        hs[:, t] = h
-        if need_cache:
-            zrs[:, t] = zr
-            cs[:, t] = c
+    rh, move = np.empty((n, B, H)), np.empty((n, B, H))
+    for x, (zr, c), h_next in zip(xp, gates, hs):
+        np.matmul(h, u_zr, out=zr)
+        zr += x[:2]
+        np.tanh(zr, out=zr)
+        zr *= 0.5
+        zr += 0.5
+        np.multiply(zr[1], h, out=rh)
+        np.matmul(rh, layer.u_c, out=c)
+        c += x[2]
+        np.tanh(c, out=c)
+        np.subtract(c, h, out=move)  # h' = h + z (c - h)
+        move *= zr[0]
+        h = np.add(h, move, out=h_next)
     if not need_cache:
         seq = zrs = cs = None
     return _ScanCache(seq=seq, zrs=zrs, cs=cs, hs=hs)
 
 
 def _scan_backward(layer: GruLayer, cache: _ScanCache, d_hs: np.ndarray) -> tuple[GruLayer, np.ndarray]:
-    """Exact BPTT through one scan. ``d_hs`` is the gradient w.r.t. every
-    emitted state in processing order; returns the parameter gradients,
-    stacked like ``layer``, and the gradient w.r.t. the scanned input
-    sequence in processing order, (n_dir, T, B, D)."""
-    n, T, B, H = cache.hs.shape
+    """Exact BPTT through one scan. ``d_hs`` (T, n_dir, B, H) is the
+    gradient w.r.t. every emitted state in processing order; returns the
+    parameter gradients, stacked like ``layer``, and the gradient w.r.t.
+    the scanned input sequence in processing order, (n_dir, T, B, D).
+
+    Consumes ``cache``: its gate and candidate buffers are overwritten.
+    """
+    T, n, B, H = cache.hs.shape
     D = cache.seq.shape[-1]
-    zeros = np.zeros((n, B, H))
-    d_pre = np.empty((n, T, B, 3 * H))
-    du_zr = np.zeros_like(layer.u_zr)
-    du_c = np.zeros_like(layer.u_c)
-    dh = np.zeros((n, B, H))
-    u_c_t, u_zr_t = layer.u_c.transpose(0, 2, 1), layer.u_zr.transpose(0, 2, 1)
-    for t in range(T - 1, -1, -1):
-        h_prev = cache.hs[:, t - 1] if t > 0 else zeros
-        z, r = cache.zrs[:, t, :, :H], cache.zrs[:, t, :, H:]
-        c = cache.cs[:, t]
-        dht = d_hs[:, t] + dh
-        dc_pre = (dht * z) * (1.0 - c * c)
-        d_rh = dc_pre @ u_c_t
-        dz_pre = (dht * (c - h_prev)) * z * (1.0 - z)
-        dr_pre = (d_rh * h_prev) * r * (1.0 - r)
-        d_pre[:, t, :, :H] = dz_pre
-        d_pre[:, t, :, H:2 * H] = dr_pre
-        d_pre[:, t, :, 2 * H:] = dc_pre
-        d_zr = d_pre[:, t, :, :2 * H]
-        dh = dht * (1.0 - z) + d_rh * r + d_zr @ u_zr_t
-        if t > 0:
-            du_zr += h_prev.transpose(0, 2, 1) @ d_zr
-            du_c += (r * h_prev).transpose(0, 2, 1) @ dc_pre
-    # The sums over rows take the rows in (batch, time) order: another
-    # order rounds differently and so changes the trained weights.
-    rows = d_pre.transpose(0, 2, 1, 3).reshape(n, B * T, 3 * H)
-    x_rows = np.stack([x.transpose(1, 0, 2) for x in _time_aligned([cache.seq] * n)])
-    x_rows = x_rows.reshape(n, B * T, D)
-    grads = GruLayer(wx=x_rows.transpose(0, 2, 1) @ rows, u_zr=du_zr, u_c=du_c,
-                     b=rows.sum(axis=1))
-    d_x = (d_pre.reshape(n, T * B, 3 * H) @ layer.wx.transpose(0, 2, 1)).reshape(n, T, B, D)
-    return grads, d_x
+    z, r, c = cache.zrs[:, 0], cache.zrs[:, 1], cache.cs
+    h_prev = cache.hs[:-1]  # the states steps 1..T-1 read; step 0 reads zeros
+    # Before the time loop, d_pre holds per gate the factor that takes the
+    # state gradient to that gate's pre-activation gradient, built in
+    # whole-array passes: a_z = (c - h_prev) z(1-z), a_r = h_prev r(1-r),
+    # a_c = z(1-c^2). Then z's buffer holds 1 - z, and c's holds r h_prev.
+    d_pre = np.empty((T, 3, n, B, H))
+    a_z, a_r, a_c = d_pre[:, 0], d_pre[:, 1], d_pre[:, 2]
+    a_z[0] = c[0]
+    np.subtract(c[1:], h_prev, out=a_z[1:])
+    a_z *= z
+    np.multiply(c, c, out=c)
+    np.subtract(1.0, c, out=c)
+    np.multiply(z, c, out=a_c)
+    omz = np.subtract(1.0, z, out=z)
+    a_z *= omz
+    rh = c
+    rh[0] = 0.0
+    np.multiply(r[1:], h_prev, out=rh[1:])
+    np.subtract(1.0, r, out=a_r)
+    a_r *= rh
+    # The time loop carries only the state gradient; it turns each step's
+    # factors into that step's pre-activation gradients in place.
+    u_c_t = layer.u_c.swapaxes(1, 2)
+    u_zr_t = _by_gate(layer.u_zr, 2).swapaxes(2, 3)  # (2, n, H, H)
+    dh, dht = np.zeros((n, B, H)), np.empty((n, B, H))
+    d_rh, d_zr_u = np.empty((n, B, H)), np.empty((2, n, B, H))
+    for d_h, d, omz_t, r_t in zip(d_hs[::-1], d_pre[::-1], omz[::-1], r[::-1]):
+        np.add(d_h, dh, out=dht)
+        np.multiply(d[::2], dht, out=d[::2])
+        np.matmul(d[2], u_c_t, out=d_rh)
+        d[1] *= d_rh
+        np.matmul(d[:2], u_zr_t, out=d_zr_u)
+        np.multiply(dht, omz_t, out=dh)
+        d_rh *= r_t
+        dh += d_rh
+        dh += d_zr_u[0]
+        dh += d_zr_u[1]
+    # Every sum over rows is one product over all rows of a direction, taken
+    # in (time, batch) order; the recurrent weights' sums skip step 0, whose
+    # h_prev is zero. One direction's rows are copied out at a time.
+    grads = GruLayer(*(np.empty_like(p) for p in (layer.wx, layer.u_zr, layer.u_c, layer.b)))
+    d_x = np.empty((n, T * B, D))
+    for k, x in enumerate(_time_aligned([cache.seq] * n)):
+        rows = d_pre[:, :, k].swapaxes(1, 2).reshape(T * B, 3 * H)  # [z|r|c] columns
+        later = rows[B:]
+        grads.wx[k] = x.reshape(T * B, D).T @ rows
+        grads.u_zr[k] = h_prev[:, k].reshape(-1, H).T @ later[:, :2 * H]
+        grads.u_c[k] = rh[1:, k].reshape(-1, H).T @ later[:, 2 * H:]
+        grads.b[k] = rows.sum(axis=0)
+        np.matmul(rows, layer.wx[k].T, out=d_x[k])
+    return grads, d_x.reshape(n, T, B, D)
 
 
 # --- full model forward / backward ----------------------------------------------
@@ -283,7 +342,7 @@ def _scan_backward(layer: GruLayer, cache: _ScanCache, d_hs: np.ndarray) -> tupl
 class ForwardCache:
     probs: np.ndarray          # (B, 2)
     feat: np.ndarray           # (B, feature_dim)
-    layer_caches: list[_ScanCache] | None  # None: inference only
+    layer_caches: list[_ScanCache] | None  # None: inference only, or consumed by backward_batch
 
 
 def forward_batch(model: GruModel, windows: np.ndarray, need_cache: bool = True) -> tuple[np.ndarray, ForwardCache]:
@@ -312,40 +371,32 @@ def forward_batch(model: GruModel, windows: np.ndarray, need_cache: bool = True)
         if need_cache:
             layer_caches.append(cache)
         if li < top:  # the top layer's sequence is never read, only its final states
-            seq = np.concatenate(_time_aligned(cache.hs), axis=-1)
+            seq = np.concatenate(_time_aligned(cache.hs.swapaxes(0, 1)), axis=-1)
             del cache  # inference: frees the states before the next scan
-    feat = cache.hs[:, -1].transpose(1, 0, 2).reshape(len(windows), -1)
+    feat = cache.hs[-1].swapaxes(0, 1).reshape(len(windows), -1)
     probs = softmax(feat @ model.head.w + model.head.b)
     return probs, ForwardCache(probs=probs, feat=feat,
                                layer_caches=layer_caches if need_cache else None)
 
 
-def forward_sequence(window: np.ndarray, model: GruModel) -> tuple[np.ndarray, ForwardCache]:
-    """Single-window convenience wrapper around :func:`forward_batch`."""
-    window = np.asarray(window, dtype=float)
-    if window.ndim != 2:
-        raise DimensionMismatch(f"window must be 2-D, got shape {window.shape}")
-    probs, cache = forward_batch(model, window[None], need_cache=True)
-    return probs[0], cache
-
-
-def cross_entropy_loss(probs: np.ndarray, target: int) -> float:
-    """Categorical cross-entropy with the probability floored at 1e-12."""
-    return float(-np.log(max(float(probs[target]), PROB_FLOOR)))
-
-
 def batch_loss(probs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean cross-entropy over a batch."""
+    """Mean cross-entropy over a batch, each probability floored at 1e-12."""
     p = np.maximum(probs[np.arange(len(targets)), targets], PROB_FLOOR)
     return float(-np.log(p).mean())
 
 
 def backward_batch(model: GruModel, cache: ForwardCache, targets: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of the mean cross-entropy over the batch, by parameter name."""
-    if cache.layer_caches is None:
+    """Gradients of the mean cross-entropy over the batch, by parameter name.
+
+    Consumes ``cache``: the backward pass reuses its buffers, so a second
+    call with the same cache raises NoActivationCache.
+    """
+    layer_caches, cache.layer_caches = cache.layer_caches, None
+    if layer_caches is None:
         raise NoActivationCache(
             "backward_batch needs the activations of forward_batch(need_cache=True); "
-            "this cache was made with need_cache=False"
+            "this cache was made with need_cache=False or was already consumed by "
+            "backward_batch"
         )
     targets = np.asarray(targets, dtype=int)
     B = cache.probs.shape[0]
@@ -360,20 +411,15 @@ def backward_batch(model: GruModel, cache: ForwardCache, targets: np.ndarray) ->
 
     # the head reads each direction's final state, the last in processing order
     n = model.spec.n_dir
-    d_hs = np.zeros(cache.layer_caches[-1].hs.shape)
-    d_hs[:, -1] = d_feat.reshape(B, n, -1).transpose(1, 0, 2)
+    d_hs = np.zeros(layer_caches[-1].hs.shape)
+    d_hs[-1] = d_feat.reshape(B, n, -1).swapaxes(0, 1)
     for li in range(len(model.layers) - 1, -1, -1):
-        g, d_x = _scan_backward(model.layers[li], cache.layer_caches[li], d_hs)
+        g, d_x = _scan_backward(model.layers[li], layer_caches[li], d_hs)
         grads.update(g.named(li))
         if li > 0:  # split the gradient w.r.t. the lower layer's output by direction
             d_seq = np.sum(_time_aligned(d_x), axis=0)
-            d_hs = np.stack(_time_aligned(np.split(d_seq, n, axis=-1)))
+            d_hs = np.stack(_time_aligned(np.split(d_seq, n, axis=-1)), axis=1)
     return grads
-
-
-def backward(model: GruModel, cache: ForwardCache, target: int) -> dict[str, np.ndarray]:
-    """Single-example gradients (batch of one)."""
-    return backward_batch(model, cache, np.array([target]))
 
 
 # --- ADADELTA --------------------------------------------------------------------

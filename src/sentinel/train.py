@@ -28,6 +28,7 @@ from .errors import (
     SeriesTooShort,
     VersionMismatch,
 )
+from .evaluate import _one_blas_thread
 from .nn import (
     AdadeltaState,
     DenseSoftmaxHead,
@@ -178,8 +179,11 @@ def fit(split: SplitDataset, spec: ModelSpec, cfg: TrainConfig,
     """Train a fresh model on the split's training series.
 
     Deterministic for a fixed config: the same seed drives initialization
-    and every epoch's shuffle. Raises NonFiniteLoss if the loss diverges;
-    the exception carries the model as of the last completed epoch.
+    and every epoch's shuffle. Numpy's OpenBLAS is held to one thread while
+    training, because its sums over rows round differently at another
+    thread count; so the trained weights do not depend on it. Raises
+    NonFiniteLoss if the loss diverges; the exception carries the model as
+    of the last completed epoch.
     """
     if spec.window_size != cfg.window_size:
         raise BadWindow(
@@ -205,24 +209,25 @@ def fit(split: SplitDataset, spec: ModelSpec, cfg: TrainConfig,
     )
     rng = np.random.default_rng(cfg.seed)
     last_good = model.copy()
-    for _ in range(cfg.epochs):
-        total, count = 0.0, 0
-        for batch in iter_batches(ws, cfg.batch_size, rng):
-            probs, cache = forward_batch(model, batch.inputs)
-            loss = batch_loss(probs, batch.labels)
-            if not np.isfinite(loss):
-                raise NonFiniteLoss(
-                    f"non-finite training loss after {len(history.epoch_losses)} "
-                    f"completed epochs",
-                    last_good_model=last_good,
-                )
-            grads = backward_batch(model, cache, batch.labels)
-            adadelta_update(model, grads, state)
-            total += loss * len(batch.labels)
-            count += len(batch.labels)
-        state.end_epoch()
-        history.epoch_losses.append(total / count)
-        last_good = model.copy()
+    with _one_blas_thread():
+        for _ in range(cfg.epochs):
+            total, count = 0.0, 0
+            for batch in iter_batches(ws, cfg.batch_size, rng):
+                probs, cache = forward_batch(model, batch.inputs)
+                loss = batch_loss(probs, batch.labels)
+                if not np.isfinite(loss):
+                    raise NonFiniteLoss(
+                        f"non-finite training loss after {len(history.epoch_losses)} "
+                        f"completed epochs",
+                        last_good_model=last_good,
+                    )
+                grads = backward_batch(model, cache, batch.labels)
+                adadelta_update(model, grads, state)
+                total += loss * len(batch.labels)
+                count += len(batch.labels)
+            state.end_epoch()
+            history.epoch_losses.append(total / count)
+            last_good = model.copy()
     return model, state, history
 
 
@@ -301,8 +306,9 @@ def save_checkpoint(model: GruModel, path, optimizer: AdadeltaState | None = Non
             "eg2": {k: v.tolist() for k, v in optimizer.eg2.items()},
             "edx2": {k: v.tolist() for k, v in optimizer.edx2.items()},
         }
+    text = json.dumps(doc)  # the C encoder; json.dump would stream through the Python one
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(text)
 
 
 def load_checkpoint(path, with_optimizer: bool = False):

@@ -412,7 +412,7 @@ class TestPipelineSmoke:
         p1, p2, both = tmp_path / "p1", tmp_path / "p2", tmp_path / "both"
         assert run_cli("hpo", "--out", p1, "--phase", "1", "--budget", 3,
                        *common) == 0
-        assert run_cli("hpo", "--out", p2, "--phase", "2", "--budget", 2,
+        assert run_cli("hpo", "--out", p2, "--phase", "2", "--budget2", 2,
                        "--phase1-log", p1 / "trials.csv", *common) == 0
         assert run_cli("hpo", "--out", both, "--phase", "both", "--budget", 3,
                        "--budget2", 2, *common) == 0

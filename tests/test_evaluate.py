@@ -128,7 +128,7 @@ class TestSeriesProbabilities:
         assert len(trace) > evaluate.EVAL_CHUNK  # exercises chunking
         x = s.window_input()
         for i in (0, 7, 150, 255, 290):
-            probs, _ = nn.forward_sequence(x[i:i + 10], model)
+            probs = nn.forward_batch(model, x[None, i:i + 10])[0][0]
             assert_allclose(trace[i], probs[1], atol=1e-12)
         assert np.all((trace > 0) & (trace < 1))
 
@@ -186,7 +186,7 @@ class TestPooledTrace:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_matches_forward_sequence_at_chunk_edges(self, monkeypatch):
+    def test_matches_single_window_forward_at_chunk_edges(self, monkeypatch):
         model, s = wide_model(), self.series()
         window = model.spec.window_size
         trace = trace_on(monkeypatch, 2, model, s)
@@ -195,7 +195,7 @@ class TestPooledTrace:
         edges = [0, step - 1, step, 2 * step - 1, 2 * step, 3 * step - 1, 3 * step,
                  len(trace) - 1]
         for i in edges:
-            probs, _ = nn.forward_sequence(x[i:i + window], model)
+            probs = nn.forward_batch(model, x[None, i:i + window])[0][0]
             assert_allclose(trace[i], probs[1], rtol=0, atol=1e-12)
 
     def test_blas_threads_restored(self, monkeypatch):

@@ -140,7 +140,7 @@ class TestForward:
                     for t in range(9):
                         h = gru_cell_forward(x[b, t if k == 0 else 8 - t], h,
                                              *direction(layer, k))
-                        assert_allclose(cache.hs[k, t, b], h, atol=1e-12)
+                        assert_allclose(cache.hs[t, k, b], h, atol=1e-12)
 
     def test_probabilities_normalized(self):
         rng = np.random.default_rng(4)
@@ -175,15 +175,6 @@ class TestForward:
         window = np.concatenate([half, mid, half[:, ::-1]], axis=1)
         _, cache = nn.forward_batch(model, window)
         assert_allclose(cache.feat[:, :6], cache.feat[:, 6:], atol=1e-12)
-
-    def test_single_window_wrapper(self):
-        rng = np.random.default_rng(30)
-        spec = nn.ModelSpec(1, [5], bidirectional=False, window_size=8)
-        model = nn.init_params(spec, seed=6)
-        w = rng.normal(size=(8, 2))
-        p_one, _ = nn.forward_sequence(w, model)
-        p_batch, _ = nn.forward_batch(model, w[None])
-        assert_allclose(p_one, p_batch[0], atol=0)
 
     def test_window_shape_checked(self):
         spec = nn.ModelSpec(1, [5], bidirectional=False, window_size=8)
@@ -223,6 +214,69 @@ def max_relative_error(a, b):
     return float(np.max(np.abs(a - b) / denom))
 
 
+def oracle_gradients(model, windows, targets):
+    """Gradients of the mean batch loss by BPTT written per window, per
+    direction and per step on vectors, with the per-gate sums taken in the
+    textbook form: the unbatched oracle of ``nn.backward_batch``."""
+    grads = {name: np.zeros_like(p) for name, p in model.parameters()}
+    for window, target in zip(windows, targets):
+        # forward: every layer's input in natural time, and per direction the
+        # steps in processing order as (t, h_prev, z, r, c)
+        inputs, tapes = [window], []
+        for layer in model.layers:
+            x, n = inputs[-1], layer.units
+            outs, tape_k = [], []
+            for k in range(layer.n_dir):
+                wx, u_zr, u_c, b = direction(layer, k)
+                h, out, tape = np.zeros(n), np.zeros((len(x), n)), []
+                for t in (range(len(x)) if k == 0 else range(len(x) - 1, -1, -1)):
+                    pre = x[t] @ wx + b
+                    zr = nn.sigmoid(pre[:2 * n] + h @ u_zr)
+                    z, r = zr[:n], zr[n:]
+                    c = np.tanh(pre[2 * n:] + (r * h) @ u_c)
+                    tape.append((t, h, z, r, c))
+                    h = (1.0 - z) * h + z * c
+                    out[t] = h
+                outs.append(out)
+                tape_k.append(tape)
+            inputs.append(np.concatenate(outs, axis=1))
+            tapes.append(tape_k)
+        # head: the forward direction ends at the last step, the backward at the first
+        top, n = inputs[-1], model.layers[-1].units
+        feat = np.concatenate([top[-1, :n], top[0, n:]])
+        probs = nn.softmax(feat @ model.head.w + model.head.b)
+        d_logits = probs - np.eye(2)[target]
+        d_logits /= len(windows)
+        grads["head.w"] += np.outer(feat, d_logits)
+        grads["head.b"] += d_logits
+        d_feat = model.head.w @ d_logits
+        d_out = np.zeros_like(top)
+        d_out[-1, :n] = d_feat[:n]
+        d_out[0, n:] = d_feat[n:]
+        for li in range(len(model.layers) - 1, -1, -1):
+            layer, x, n = model.layers[li], inputs[li], model.layers[li].units
+            d_in = np.zeros_like(x)
+            for k, tape in enumerate(tapes[li]):
+                wx, u_zr, u_c, _ = direction(layer, k)
+                tag = f"layer{li}.{nn.DIRECTIONS[k]}"
+                dh = np.zeros(n)
+                for t, h_prev, z, r, c in reversed(tape):
+                    dh = dh + d_out[t, k * n:(k + 1) * n]
+                    dc = dh * z * (1.0 - c * c)
+                    dz = dh * (c - h_prev) * z * (1.0 - z)
+                    d_rh = u_c @ dc
+                    dr = d_rh * h_prev * r * (1.0 - r)
+                    d_pre = np.concatenate([dz, dr, dc])
+                    grads[f"{tag}.wx"] += np.outer(x[t], d_pre)
+                    grads[f"{tag}.u_zr"] += np.outer(h_prev, d_pre[:2 * n])
+                    grads[f"{tag}.u_c"] += np.outer(r * h_prev, dc)
+                    grads[f"{tag}.b"] += d_pre
+                    d_in[t] += wx @ d_pre
+                    dh = dh * (1.0 - z) + d_rh * r + u_zr @ d_pre[:2 * n]
+            d_out = d_in
+    return grads
+
+
 class TestGradients:
     @pytest.mark.parametrize("num_layers,units,bidir", [
         (1, [8], False),
@@ -245,6 +299,40 @@ class TestGradients:
             err = max_relative_error(analytic[name], numeric[name])
             assert err < 1e-4, f"{name}: relative error {err:.2e}"
 
+    @pytest.mark.parametrize("num_layers,units,bidir,window,batch", [
+        (1, [5], True, 1, 3),  # no step reads a previous state
+        (1, [5], True, 2, 3),  # one step does
+        (2, [4, 3], True, 6, 1),
+        (2, [6, 5], False, 7, 4),
+        (3, [6, 10, 4], True, 5, 2),
+    ])
+    def test_backward_matches_per_step_oracle(self, num_layers, units, bidir, window, batch):
+        rng = np.random.default_rng(window * 10 + batch)
+        spec = nn.ModelSpec(num_layers, units, bidirectional=bidir, window_size=window)
+        model = nn.init_params(spec, seed=window + batch)
+        for layer in model.layers:  # nonzero biases, so no gate sits at 1/2
+            layer.b[:] = rng.normal(scale=0.5, size=layer.b.shape)
+        windows = rng.normal(size=(batch, window, 2))
+        targets = rng.integers(0, 2, size=batch)
+        _, cache = nn.forward_batch(model, windows)
+        analytic = nn.backward_batch(model, cache, targets)
+        oracle = oracle_gradients(model, windows, targets)
+        assert set(analytic) == set(oracle)
+        for name, want in oracle.items():
+            # relative to the largest entry; a window of one step has exactly
+            # zero recurrent-weight gradients
+            err = np.abs(analytic[name] - want).max()
+            assert err <= 1e-12 * np.abs(want).max(), f"{name}: error {err:.2e}"
+
+    def test_backward_consumes_the_cache(self):
+        spec = nn.ModelSpec(1, [4], bidirectional=True, window_size=5)
+        model = nn.init_params(spec, seed=2)
+        windows = np.random.default_rng(4).normal(size=(2, 5, 2))
+        _, cache = nn.forward_batch(model, windows)
+        nn.backward_batch(model, cache, np.array([0, 1]))
+        with pytest.raises(NoActivationCache, match="already consumed"):
+            nn.backward_batch(model, cache, np.array([0, 1]))
+
     def test_batch_gradient_is_mean_of_singles(self):
         rng = np.random.default_rng(55)
         spec = nn.ModelSpec(1, [6], bidirectional=True, window_size=10)
@@ -256,7 +344,7 @@ class TestGradients:
         singles = []
         for b in range(4):
             _, c1 = nn.forward_batch(model, windows[b:b + 1])
-            singles.append(nn.backward(model, c1, int(targets[b])))
+            singles.append(nn.backward_batch(model, c1, [targets[b]]))
         for name in batch_grads:
             mean = sum(s[name] for s in singles) / 4.0
             assert_allclose(batch_grads[name], mean, atol=1e-12)
@@ -270,10 +358,10 @@ class TestGradients:
             nn.backward_batch(model, cache, np.array([0, 1]))
 
     def test_loss_values(self):
-        assert nn.cross_entropy_loss(np.array([0.25, 0.75]), 1) == pytest.approx(-np.log(0.75))
-        assert nn.cross_entropy_loss(np.array([1.0, 0.0]), 0) == 0.0
+        assert nn.batch_loss(np.array([[0.25, 0.75]]), [1]) == pytest.approx(-np.log(0.75))
+        assert nn.batch_loss(np.array([[1.0, 0.0]]), [0]) == 0.0
         # floored, never inf
-        assert np.isfinite(nn.cross_entropy_loss(np.array([1.0, 0.0]), 1))
+        assert np.isfinite(nn.batch_loss(np.array([[1.0, 0.0]]), [1]))
         probs = np.array([[0.9, 0.1], [0.4, 0.6]])
         want = (-np.log(0.9) - np.log(0.6)) / 2
         assert nn.batch_loss(probs, np.array([0, 1])) == pytest.approx(want)

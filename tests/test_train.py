@@ -1,5 +1,10 @@
 """Windowing rule, training loop determinism, and checkpoint round trips."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -148,6 +153,32 @@ def tiny_spec(window=60):
     return nn.ModelSpec(1, [6], bidirectional=False, window_size=window)
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Trains a 2x32b bidirectional model for one epoch on two random series and
+# saves it, with its optimizer state, to the path given as argument.
+FIT_2X32B = """
+import sys
+import numpy as np
+from sentinel import nn, train
+from sentinel.data import Label
+from sentinel.preprocess import CleanSeries, SplitDataset
+
+def series(sid, label, marker, seed):
+    rng = np.random.default_rng(seed)
+    return CleanSeries(id=sid, label=label, mbp=rng.uniform(-1, 1, 400),
+                       hr=rng.uniform(-1, 1, 400), marker_index=marker, rate_hz=1.25,
+                       norm_params={"mBP": (60.0, 110.0), "HR": (50.0, 120.0)})
+
+split = SplitDataset(train=[series("s", Label.SYNCOPE, 380, 1),
+                            series("n", Label.NOSYNCOPE, None, 2)], test=[], seed=0)
+spec = nn.ModelSpec(2, [32, 32], bidirectional=True, window_size=100)
+cfg = train.TrainConfig(window_size=100, epochs=1, stride=10, positive_horizon=300, seed=0)
+model, state, _ = train.fit(split, spec, cfg)
+train.save_checkpoint(model, sys.argv[1], optimizer=state)
+"""
+
+
 class TestFit:
     def test_epochs_zero_returns_init(self):
         split = tiny_split()
@@ -212,6 +243,20 @@ class TestFit:
             with pytest.raises(NonFiniteLoss) as err:
                 train.fit(tiny_split(), tiny_spec(), c)
         assert isinstance(err.value.last_good_model, nn.GruModel)
+
+    def test_weights_independent_of_blas_threads(self, tmp_path):
+        # a 2x32b model's sums over rows are large enough for OpenBLAS to
+        # split across threads; fit holds it to one, so the bytes agree
+        paths = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"model-{threads}.ckpt"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+            done = subprocess.run([sys.executable, "-c", FIT_2X32B, str(path)],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            assert done.returncode == 0, done.stderr
+            paths.append(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_no_leakage_from_test_series(self):
         split = tiny_split()
