@@ -598,6 +598,21 @@ def _write_partial_dependence(space: SearchSpace, trials, seed: int,
     return written
 
 
+def _check_phase1_seed(phase1_log: Path, seed: int) -> None:
+    """A phase-1 trials log does not hold its seed, but the run.json beside
+    it does: phase 2 over a log searched with another seed would match
+    neither seed's ``--phase both``."""
+    record = phase1_log.parent / "run.json"
+    if not record.is_file():
+        return
+    doc = load_run_record(record)
+    if doc["command"] == "hpo" and doc.get("seed") != seed:
+        raise ConfigInvalid(
+            f"hpo: phase-1 log {phase1_log} was searched with seed "
+            f"{doc.get('seed')!r} ({record}), phase 2 was given seed {seed}"
+        )
+
+
 def _cmd_hpo(config: RunConfig, out: Path, log) -> list[str]:
     series = load_clean_dir(config["train_dir"])
     space = load_space_file(config["space"]) if config["space"] \
@@ -624,6 +639,7 @@ def _cmd_hpo(config: RunConfig, out: Path, log) -> list[str]:
                 raise ConfigInvalid(
                     "hpo: phase 2 needs phase1_log=<phase-1 trials CSV>"
                 )
+            _check_phase1_seed(Path(config["phase1_log"]), seed)
             result = run_phase2(space, read_trials_csv(config["phase1_log"], space),
                                 config["budget2"], objective, seed, n_init=n_init)
             logs = {"trials.csv": (result.phase2, sub)}

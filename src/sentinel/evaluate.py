@@ -18,8 +18,8 @@ import ctypes
 import functools
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -174,17 +174,34 @@ def _one_blas_thread():
         blas.put(before)
 
 
-def series_probabilities(model: GruModel, series: CleanSeries) -> np.ndarray:
-    """P(syncope) for every stride-1 window of the series.
+def _cancel_and_drain(futures: list[Future]) -> None:
+    """Cancel the futures not yet started, then read the results of the
+    others, so that an error in any chunk that ran is raised."""
+    started = [f for f in futures if not f.cancel()]
+    for f in started:
+        f.result()
+
+
+def series_probabilities(model: GruModel, series: CleanSeries,
+                         rule: tuple[float, int] | None = None) -> np.ndarray:
+    """P(syncope) for every stride-1 window of the series, or for a prefix
+    of them when a detection rule is given.
 
     Entry i corresponds to the window ending at sample i + window_size - 1.
-    The windows are scored in chunks of ``EVAL_CHUNK // workers`` on
-    ``_trace_workers(model)`` threads (one worker scores them on the
-    calling thread). The trace is bit-identical at the worker counts
-    ``TestPooledTrace`` checks (1, 2, 3 and 8), but a window's probability
-    can change in the last bits with its chunk size: chunks of 1 or 7
-    windows differ from chunks of 128 by up to 1.1e-16, and on 37 or
-    more workers a chunk holds 6 windows or fewer (ROADMAP item 2).
+    The windows are scored in order, in chunks of ``EVAL_CHUNK // workers``
+    on ``_trace_workers(model)`` threads (one worker scores them on the
+    calling thread). With ``rule`` = (threshold, consecutive) scoring stops
+    at the chunk that completes the first run of ``consecutive`` entries
+    >= threshold, and the trace ends with that chunk; chunks the pool has
+    not started are cancelled, and those it has run to their end (an error
+    in one is raised). The first alarm of the prefix is the first alarm of
+    the whole trace, and each entry is the same number either way.
+
+    The trace is bit-identical at the worker counts ``TestPooledTrace``
+    checks (1, 2, 3 and 8), but a window's probability can change in the
+    last bits with its chunk size: chunks of 1 or 7 windows differ from
+    chunks of 128 by up to 1.1e-16, and on 37 or more workers a chunk holds
+    6 windows or fewer (ROADMAP item 2).
     """
     window = model.spec.window_size
     x = series.window_input()
@@ -198,21 +215,34 @@ def series_probabilities(model: GruModel, series: CleanSeries) -> np.ndarray:
     workers = _trace_workers(model)
     step = max(1, EVAL_CHUNK // workers)
 
-    def score(lo: int) -> None:
+    def score(lo: int) -> int:
         chunk = np.ascontiguousarray(views[lo:lo + step])
         probs, _ = forward_batch(model, chunk, need_cache=False)
         out[lo:lo + len(chunk)] = probs[:, 1]
+        return lo + len(chunk)
 
     starts = range(0, len(views), step)
-    if workers == 1:
-        # On the calling thread: a one-worker pool started per series (HPO
-        # validation traces many short series) left whole `hpo` benchmark
-        # runs bimodal, about a quarter slower with 5-7 MB more peak memory.
-        for lo in starts:
-            score(lo)
-    else:
-        with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
-            list(pool.map(score, starts))
+    with ExitStack() as stack:
+        if workers == 1:
+            # On the calling thread: a one-worker pool started per series
+            # (HPO validation traces many short series) left whole `hpo`
+            # benchmark runs bimodal, about a quarter slower with 5-7 MB
+            # more peak memory.
+            ends = map(score, starts)
+        else:
+            stack.enter_context(_one_blas_thread())
+            pool = stack.enter_context(ThreadPoolExecutor(workers))
+            futures = [pool.submit(score, lo) for lo in starts]
+            stack.callback(_cancel_and_drain, futures)
+            ends = (f.result() for f in futures)
+        scored = 0
+        for end in ends:
+            # a run completed in this chunk may open up to consecutive - 1
+            # entries before it
+            if rule is not None and detect_from_trace(
+                    out[max(0, scored - rule[1] + 1):end], *rule) is not None:
+                return out[:end]
+            scored = end
     return out
 
 
@@ -242,7 +272,7 @@ def detect_series(model: GruModel, series: CleanSeries, threshold: float,
     `consecutive` stride-1 windows whose P(syncope) >= threshold."""
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"threshold must be in (0,1), got {threshold}")
-    trace = series_probabilities(model, series)
+    trace = series_probabilities(model, series, (threshold, consecutive))
     return window_end(model, detect_from_trace(trace, threshold, consecutive))
 
 
@@ -252,8 +282,11 @@ def evaluate_dataset(model: GruModel, series_list: list[CleanSeries],
                      traces: dict[str, np.ndarray] | None = None) -> EvalReport:
     """Classify every series by threshold detection and tally the confusion.
 
-    ``traces`` optionally carries precomputed probability traces keyed by
-    series id so sweeps can reuse one forward pass per series.
+    ``traces`` optionally carries probability traces keyed by series id so
+    sweeps can reuse one forward pass per series: a series missing from it
+    is scored in full and added. Without ``traces`` each series is scored
+    only up to its first alarm (the prefix rule of
+    :func:`series_probabilities`), which decides the same outcome.
     """
     if not series_list:
         raise EmptyEvaluation("no series to evaluate")
@@ -262,12 +295,12 @@ def evaluate_dataset(model: GruModel, series_list: list[CleanSeries],
     confusion = ConfusionCounts()
     outcomes = []
     for series in series_list:
-        if traces is not None and series.id in traces:
+        if traces is None:
+            trace = series_probabilities(model, series, (threshold, consecutive))
+        elif series.id in traces:
             trace = traces[series.id]
         else:
-            trace = series_probabilities(model, series)
-            if traces is not None:
-                traces[series.id] = trace
+            trace = traces[series.id] = series_probabilities(model, series)
         detection = window_end(model, detect_from_trace(trace, threshold, consecutive))
         detected = detection is not None
         is_syncope = series.label is Label.SYNCOPE

@@ -1,8 +1,9 @@
 """Two-phase Bayesian hyperparameter optimization.
 
 A Gaussian-process surrogate (squared-exponential ARD kernel, noise term,
-hyperparameters refit by maximum likelihood after every observation) models
-the classification error over a seven-dimensional search space; expected
+hyperparameters refit by maximum likelihood after every observation, with
+L-BFGS-B on the analytic gradient of the log likelihood) models the
+classification error over a seven-dimensional search space; expected
 improvement picks each next candidate from a seeded pool. Phase 1 searches
 all dimensions, phase 2 re-searches only the three most influential ones
 (units, layers, window size) with the rest pinned at the phase-1 best. Phase
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
+from scipy.linalg import lapack
 from scipy.stats import norm, qmc
 
 from .errors import AllTrialsFailed, ConfigError, ConfigInvalid, DegenerateSurrogate
@@ -135,10 +137,18 @@ class HpoTrial:
 # --- Gaussian-process surrogate --------------------------------------------------
 
 
-def _kernel(xa: np.ndarray, xb: np.ndarray, log_ell: np.ndarray, log_sf: float) -> np.ndarray:
+def _kernel_terms(xa: np.ndarray, xb: np.ndarray, log_ell: np.ndarray,
+                  log_sf: float) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel matrix and the squared scaled distances (Δ_k/ℓ_k)² it is
+    built from, shape (len(xa), len(xb), d)."""
     ell = np.exp(log_ell)
     d = (xa[:, None, :] - xb[None, :, :]) / ell
-    return np.exp(2.0 * log_sf) * np.exp(-0.5 * np.sum(d * d, axis=2))
+    sq = d * d
+    return np.exp(2.0 * log_sf) * np.exp(-0.5 * np.sum(sq, axis=2)), sq
+
+
+def _kernel(xa: np.ndarray, xb: np.ndarray, log_ell: np.ndarray, log_sf: float) -> np.ndarray:
+    return _kernel_terms(xa, xb, log_ell, log_sf)[0]
 
 
 @dataclass
@@ -184,13 +194,6 @@ class Surrogate:
             raise DegenerateSurrogate("no observations yet")
         return float(self.y.min())
 
-    def set_kernel(self, length_scales, signal_var: float, noise_var: float) -> None:
-        """Pin kernel hyperparameters (skipping MLE) and refactorize."""
-        self.log_ell = np.log(np.asarray(length_scales, dtype=float))
-        self.log_sf = 0.5 * math.log(signal_var)
-        self.log_sn = 0.5 * math.log(noise_var)
-        self._factorize()
-
     def _y_mean(self) -> float:
         return float(self.y.mean()) if self.n_observed else 0.0
 
@@ -225,19 +228,40 @@ class Surrogate:
         return mu, np.maximum(var, 0.0)
 
 
-def _negative_log_likelihood(theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    d = x.shape[1]
+def _negative_log_likelihood(theta: np.ndarray, x: np.ndarray,
+                             y: np.ndarray) -> tuple[float, np.ndarray]:
+    """GP negative log marginal likelihood at theta = (log ℓ, log σ_f, log σ_n)
+    and its gradient, both from one Cholesky factorisation (Rasmussen &
+    Williams 2006, eq. 5.9). With W = K⁻¹ − ααᵀ the gradient is
+    ½ Σ W∘K_f∘(Δ_k/ℓ_k)² per log ℓ_k, Σ W∘K_f for log σ_f and σ_n² tr W for
+    log σ_n. A kernel that is not positive definite scores 1e25 with a zero
+    gradient."""
+    n, d = x.shape
     log_ell, log_sf, log_sn = theta[:d], theta[d], theta[d + 1]
-    k = _kernel(x, x, log_ell, log_sf)
-    k[np.diag_indices_from(k)] += math.exp(2.0 * log_sn) + JITTER
-    try:
-        chol = np.linalg.cholesky(k)
-    except np.linalg.LinAlgError:
-        return 1e25
-    resid = y - y.mean()
-    z = np.linalg.solve(chol, resid)
-    return float(0.5 * z @ z + np.log(np.diag(chol)).sum()
-                 + 0.5 * len(y) * math.log(2.0 * math.pi))
+    kf, sq = _kernel_terms(x, x, log_ell, log_sf)
+    noise = math.exp(2.0 * log_sn)
+    chol, info = lapack.dpotrf(kf + (noise + JITTER) * np.eye(n), lower=1, clean=1)
+    if info:
+        return 1e25, np.zeros(d + 2)
+    chol_inv, _ = lapack.dtrtri(chol, lower=1)
+    z = chol_inv @ (y - y.mean())
+    alpha = chol_inv.T @ z
+    w = chol_inv.T @ chol_inv - np.outer(alpha, alpha)
+    wk = w * kf
+    grad = np.empty(d + 2)
+    grad[:d] = 0.5 * (wk.reshape(-1) @ sq.reshape(-1, d))
+    grad[d] = wk.sum()
+    grad[d + 1] = noise * np.trace(w)
+    nll = float(0.5 * z @ z + np.log(np.diag(chol)).sum()
+                + 0.5 * n * math.log(2.0 * math.pi))
+    return nll, grad
+
+
+def _theta_bounds(d: int) -> list[tuple[float, float]]:
+    """Bounds of the refit's theta = (log ℓ_1..d, log σ_f, log σ_n)."""
+    return ([(math.log(1e-2), math.log(10.0))] * d    # length scales
+            + [(math.log(1e-3), math.log(10.0))]      # signal std
+            + [(math.log(1e-4), math.log(1.0))])      # noise std
 
 
 def _fit_hyperparameters(surr: Surrogate) -> None:
@@ -246,9 +270,7 @@ def _fit_hyperparameters(surr: Surrogate) -> None:
         surr._factorize()
         return
     d = len(surr.space)
-    bounds = ([(math.log(1e-2), math.log(10.0))] * d    # length scales
-              + [(math.log(1e-3), math.log(10.0))]      # signal std
-              + [(math.log(1e-4), math.log(1.0))])      # noise std
+    bounds = _theta_bounds(d)
     current = np.concatenate([surr.log_ell, [surr.log_sf, surr.log_sn]])
     rng = np.random.default_rng([surr.seed, surr.n_observed, 1])
     starts = [current,
@@ -261,7 +283,7 @@ def _fit_hyperparameters(surr: Surrogate) -> None:
     for s in starts:
         res = optimize.minimize(_negative_log_likelihood, np.clip(s, lo, hi),
                                 args=(surr.x, surr.y), method="L-BFGS-B",
-                                bounds=bounds)
+                                jac=True, bounds=bounds)
         if res.fun < best_nll:
             best_nll, best_theta = res.fun, res.x
     surr.log_ell = best_theta[:d]

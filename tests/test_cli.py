@@ -427,6 +427,28 @@ class TestPipelineSmoke:
         for split, joint in pairs:
             assert split.read_bytes() == joint.read_bytes(), split.name
 
+    def test_hpo_phase2_with_another_seed_than_phase1_exits_2(
+            self, pipeline, tmp_path, monkeypatch, capsys):
+        space = tmp_path / "space.ini"
+        space.write_text(PINNED_SPACE_INI)
+        common = ["--train-dir", pipeline / "prep" / "clean" / "train",
+                  "--space", space, "--n-init", 2, "--epochs", 1,
+                  "--stride", 80, "--log-level", "warning"]
+        p1 = tmp_path / "p1"
+        assert run_cli("hpo", "--out", p1, "--phase", "1", "--budget", 2,
+                       "--seed", 5, *common) == 0
+        fits = []
+        monkeypatch.setattr(cli, "fit", lambda *a, **k: fits.append(a))
+        capsys.readouterr()
+        code = run_cli("hpo", "--out", tmp_path / "p2", "--phase", "2",
+                       "--budget2", 2, "--seed", 7,
+                       "--phase1-log", p1 / "trials.csv", *common)
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigInvalid"
+        assert "seed 5" in err["message"] and "seed 7" in err["message"]
+        assert fits == []
+
     def test_report_renders_html_and_svg(self, pipeline):
         out = pipeline / "report"
         assert run_cli(

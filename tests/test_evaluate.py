@@ -144,7 +144,7 @@ class TestSeriesProbabilities:
         trace = np.zeros(301)
         trace[40:] = 0.95
         monkeypatch.setattr(evaluate, "series_probabilities",
-                            lambda m, x: trace)
+                            lambda m, x, rule=None: trace)
         assert evaluate.detect_series(model, s, 0.8) == 40 + 99
         with pytest.raises(ConfigError):
             evaluate.detect_series(model, s, 1.5)
@@ -227,7 +227,7 @@ class TestPooledTrace:
 
 
 def patched_eval(monkeypatch, traces_by_id):
-    def fake(model, series):
+    def fake(model, series, rule=None):
         return np.asarray(traces_by_id[series.id], dtype=float)
     monkeypatch.setattr(evaluate, "series_probabilities", fake)
 
@@ -319,6 +319,158 @@ class TestEvaluateDataset:
         report = evaluate.evaluate_dataset(model, series, 0.5)
         c = report.confusion
         assert report.accuracy == (c.tp + c.tn) / c.total
+
+
+class TestEarlyStop:
+    """Without ``traces``, evaluate_dataset scores each series only up to the
+    chunk that completes its first alarm; the outcomes are those of full
+    traces."""
+
+    WINDOW = 10
+    N_WINDOWS = 700  # chunks of 256 (1 worker), 128 (2) and 85 (3)
+
+    def scripted(self, sid, label, alarms):
+        """A series whose window i carries P(syncope) 0.9 for i in
+        ``alarms`` and 0.1 otherwise, as the last mBP sample of the window,
+        for :meth:`scripted_forward` to read back."""
+        probs = np.full(self.N_WINDOWS, 0.1)
+        probs[list(alarms)] = 0.9
+        mbp = np.concatenate([np.zeros(self.WINDOW - 1), probs])
+        marker = len(mbp) - 1 if label is Label.SYNCOPE else None
+        return CleanSeries(id=sid, label=label, mbp=mbp, hr=np.zeros(len(mbp)),
+                           marker_index=marker, rate_hz=1.25, norm_params={})
+
+    @pytest.fixture
+    def chunks(self, monkeypatch):
+        """Windows per forward_batch call, with the pass scripted."""
+        seen = []
+
+        def scripted_forward(model, windows, need_cache=True):
+            seen.append(len(windows))
+            p = windows[:, -1, 0]
+            return np.stack([1 - p, p], axis=1), None
+
+        monkeypatch.setattr(evaluate, "forward_batch", scripted_forward)
+        return seen
+
+    def corpus(self):
+        sy, no = Label.SYNCOPE, Label.NOSYNCOPE
+        return [
+            self.scripted("first-chunk", sy, [5]),
+            # a run of 3 opening at 254 straddles the chunk edges at 255
+            # (3 workers) and 256 (1 and 2 workers); the shorter runs before
+            # it alarm only at consecutive 1
+            self.scripted("straddle", sy, [100, 200, 201, 254, 255, 256, 257]),
+            self.scripted("last-chunk", no, [650, 651, 652]),
+            self.scripted("never", no, []),
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("consecutive", [1, 3])
+    def test_outcomes_equal_full_traces(self, monkeypatch, chunks, workers,
+                                        consecutive):
+        monkeypatch.setattr(evaluate, "_trace_workers", lambda m: workers)
+        model, series = tiny_model(window=self.WINDOW), self.corpus()
+        early = evaluate.evaluate_dataset(model, series, 0.5, consecutive)
+        scored = sum(chunks)
+        [full] = evaluate.threshold_sweep(model, series, [0.5], consecutive)
+        assert sum(chunks) - scored == len(series) * self.N_WINDOWS
+        assert early.per_series == full.per_series
+        assert early.confusion == full.confusion
+        detections = [o.detection_index for o in early.per_series]
+        end = self.WINDOW - 1
+        if consecutive == 1:
+            assert detections == [5 + end, 100 + end, 650 + end, None]
+        else:
+            assert detections == [None, 254 + end, 650 + end, None]
+        # each series is scored through the chunk holding the last entry of
+        # its first alarm run; a pool may also finish chunks already started
+        step = evaluate.EVAL_CHUNK // workers
+        needed = sum(self.N_WINDOWS if d is None else
+                     min(self.N_WINDOWS, (d - end + consecutive - 1) // step * step + step)
+                     for d in detections)
+        if workers == 1:
+            assert scored == needed
+        else:
+            assert scored >= needed
+
+    def test_alarm_in_first_chunk_costs_one_call(self, monkeypatch, chunks):
+        monkeypatch.setattr(evaluate, "_trace_workers", lambda m: 1)
+        model = tiny_model(window=self.WINDOW)
+        s = self.scripted("first-chunk", Label.SYNCOPE, [5])
+        assert evaluate.evaluate_dataset(model, [s], 0.5).per_series[0].detected
+        assert chunks == [evaluate.EVAL_CHUNK]
+        assert evaluate.detect_series(model, s, 0.5) == 5 + self.WINDOW - 1
+        assert chunks == [evaluate.EVAL_CHUNK] * 2
+        evaluate.threshold_sweep(model, [s], [0.5])
+        assert chunks[2:] == [256, 256, self.N_WINDOWS - 512]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_cancels_chunks_not_started(self, monkeypatch, workers):
+        # the first chunk returns at once and every other takes 0.2 s, so
+        # by the time the first alarm is seen only the workers' first
+        # chunks and one more have started
+        monkeypatch.setattr(evaluate, "_trace_workers", lambda m: workers)
+        starts = []
+
+        def slow_after_first(model, windows, need_cache=True):
+            starts.append(len(windows))
+            if len(starts) > 1:
+                time.sleep(0.2)
+            p = windows[:, -1, 0]
+            return np.stack([1 - p, p], axis=1), None
+
+        monkeypatch.setattr(evaluate, "forward_batch", slow_after_first)
+        s = self.scripted("first-chunk", Label.SYNCOPE, [5])
+        trace = evaluate.series_probabilities(tiny_model(window=self.WINDOW), s,
+                                              (0.5, 1))
+        step = evaluate.EVAL_CHUNK // workers
+        assert len(trace) == step
+        assert len(starts) < -(-self.N_WINDOWS // step)
+
+    def test_pool_raises_the_error_of_a_chunk_that_ran(self, monkeypatch):
+        # the second chunk fails while the first, which alarms, is read
+        monkeypatch.setattr(evaluate, "_trace_workers", lambda m: 2)
+
+        def fail_on_window_200(model, windows, need_cache=True):
+            p = windows[:, -1, 0]
+            if np.any(p == 0.3):
+                time.sleep(0.1)
+                raise RuntimeError("chunk failed")
+            return np.stack([1 - p, p], axis=1), None
+
+        monkeypatch.setattr(evaluate, "forward_batch", fail_on_window_200)
+        s = self.scripted("first-chunk", Label.SYNCOPE, [5])
+        s.mbp[self.WINDOW - 1 + 200] = 0.3
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            evaluate.series_probabilities(tiny_model(window=self.WINDOW), s,
+                                          (0.5, 1))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pooled_model_prefix_of_full_trace(self, monkeypatch, workers):
+        monkeypatch.setattr(evaluate, "_trace_workers", lambda m: workers)
+        model = wide_model()
+        series = [make_series(f"s{i}", Label.SYNCOPE if i % 2 else Label.NOSYNCOPE,
+                              marker=390 if i % 2 else None, seed=i)
+                  for i in range(4)]
+        full = {s.id: evaluate.series_probabilities(model, s) for s in series}
+        values = np.concatenate(list(full.values()))
+        thresholds = [*np.quantile(values, [0.5, 0.9, 0.99]),
+                      (values.max() + 1.0) / 2]  # the last never alarms
+        shortened = 0
+        for consecutive in (1, 3):
+            swept = evaluate.threshold_sweep(model, series, thresholds, consecutive)
+            for t, want in zip(thresholds, swept):
+                got = evaluate.evaluate_dataset(model, series, t, consecutive)
+                assert got.per_series == want.per_series
+                assert got.confusion == want.confusion
+                for s in series:
+                    prefix = evaluate.series_probabilities(model, s, (t, consecutive))
+                    assert np.array_equal(prefix, full[s.id][:len(prefix)])
+                    shortened += len(prefix) < len(full[s.id])
+        assert shortened > 0
+        assert any(o.detected for o in swept[0].per_series)
+        assert not any(o.detected for o in swept[-1].per_series)
 
 
 class TestThresholdSweep:

@@ -102,8 +102,10 @@ class TestSurrogate:
         surr = hpo.Surrogate(space, seed=1)
         for u in np.random.default_rng(3).uniform(0, 0.2, size=(5, 2)):
             hpo.observe(surr, space.from_unit(u), float(u.sum()))
-        surr.set_kernel(length_scales=[0.05, 0.05], signal_var=2.0,
-                        noise_var=1e-6)
+        surr.log_ell = np.log([0.05, 0.05])
+        surr.log_sf = 0.5 * math.log(2.0)
+        surr.log_sn = 0.5 * math.log(1e-6)
+        surr._chol = None  # refactorized on the next posterior
         _, var = surr.posterior(np.array([[0.95, 0.95]]))
         assert var[0] == pytest.approx(2.0, rel=1e-6)
 
@@ -122,9 +124,12 @@ class TestSurrogate:
         surr = hpo.Surrogate(space, seed=1)
         surr.x = np.tile([[0.5, 0.5]], (3, 1))
         surr.y = np.array([0.1, 0.1, 0.1])
+        surr.log_ell = np.log([10.0, 10.0])
+        surr.log_sf = 0.5 * math.log(1e18)
+        surr.log_sn = 0.5 * math.log(1e-30)
+        surr._chol = None
         with pytest.raises(DegenerateSurrogate):
-            surr.set_kernel(length_scales=[10.0, 10.0], signal_var=1e18,
-                            noise_var=1e-30)
+            surr.posterior(np.array([[0.5, 0.5]]))
 
     def test_empty_surrogate_prior(self):
         surr = hpo.Surrogate(unit_space(2), seed=0)
@@ -133,6 +138,57 @@ class TestSurrogate:
         assert var[0] == pytest.approx(surr.signal_var)
         with pytest.raises(DegenerateSurrogate):
             _ = surr.best_objective
+
+
+class TestLikelihoodGradient:
+    """The analytic gradient of the refit's negative log likelihood against
+    central differences."""
+
+    STEP = 1e-5
+
+    def check(self, theta, x, y):
+        nll, grad = hpo._negative_log_likelihood(theta, x, y)
+        numeric = np.empty_like(grad)
+        for i, e in enumerate(np.eye(len(theta))):
+            up, _ = hpo._negative_log_likelihood(theta + self.STEP * e, x, y)
+            down, _ = hpo._negative_log_likelihood(theta - self.STEP * e, x, y)
+            numeric[i] = (up - down) / (2 * self.STEP)
+        # The differences lose about eps * cond(K) * |nll| / STEP to rounding,
+        # which swamps small components where the kernel is ill-conditioned.
+        d = x.shape[1]
+        k = (hpo._kernel(x, x, theta[:d], theta[d])
+             + (math.exp(2 * theta[d + 1]) + hpo.JITTER) * np.eye(len(x)))
+        lost = np.finfo(float).eps * np.linalg.cond(k) * abs(nll) / self.STEP
+        assert_allclose(grad, numeric, rtol=1e-5,
+                        atol=1e-5 * np.abs(numeric).max() + 10 * lost)
+
+    def data(self, n, d, seed):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(size=(n, d)), rng.choice([0.0, 0.25, 0.5, 1.0], size=n)
+
+    @pytest.mark.parametrize("n, d", [(2, 1), (2, 4), (6, 1), (9, 3), (14, 7)])
+    def test_interior(self, n, d):
+        lo, hi = np.array(hpo._theta_bounds(d)).T
+        for seed in range(4):
+            x, y = self.data(n, d, seed)
+            u = np.random.default_rng([seed, 1]).uniform(0.05, 0.95, size=d + 2)
+            self.check(lo + u * (hi - lo), x, y)
+
+    @pytest.mark.parametrize("n, d", [(2, 1), (5, 2), (8, 3)])
+    def test_on_the_bounds(self, n, d):
+        lo, hi = np.array(hpo._theta_bounds(d)).T
+        x, y = self.data(n, d, seed=n)
+        corners = np.random.default_rng(d).integers(0, 2, size=(6, d + 2))
+        for corner in [np.zeros(d + 2), np.ones(d + 2), *corners]:
+            self.check(np.where(corner == 1, hi, lo), x, y)
+
+    def test_not_positive_definite(self):
+        x = np.tile([[0.5, 0.5]], (3, 1))
+        theta = np.array([math.log(10.0), math.log(10.0),
+                          0.5 * math.log(1e18), 0.5 * math.log(1e-30)])
+        nll, grad = hpo._negative_log_likelihood(theta, x, np.full(3, 0.1))
+        assert nll == 1e25
+        assert np.array_equal(grad, np.zeros(4))
 
 
 class TestExpectedImprovement:
