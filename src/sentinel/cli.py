@@ -45,7 +45,6 @@ from .errors import (
 )
 from .evaluate import (
     DEFAULT_THRESHOLD,
-    _openblas,
     default_threshold_grid,
     evaluate_dataset,
     threshold_sweep,
@@ -68,7 +67,7 @@ from .hpo import (
     write_pd_csv,
     write_trials_csv,
 )
-from .nn import ModelSpec
+from .nn import ModelSpec, openblas
 from .preprocess import (
     OutlierConfig,
     PreprocessConfig,
@@ -402,7 +401,7 @@ def _versions() -> dict:
     import numpy
     import scipy
 
-    blas = _openblas()
+    blas = openblas()
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,

@@ -14,15 +14,11 @@ detector never fires) are reported as absent values — never coerced to
 from __future__ import annotations
 
 import csv
-import ctypes
-import functools
 import json
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,10 +28,9 @@ from .errors import (
     EmptyEvaluation,
     NoDetections,
     NoPositives,
-    SeriesTooShort,
     UndefinedF,
 )
-from .nn import GruModel, forward_batch
+from .nn import GruModel, forward_batch, one_blas_thread, openblas
 from .preprocess import CleanSeries
 
 DEFAULT_THRESHOLD = 0.5  # P(syncope) at or above which a window alarms
@@ -121,57 +116,16 @@ def median_reaction(report: EvalReport) -> float | None:
     return float(np.median(times))
 
 
-class OpenBlas(NamedTuple):
-    """The OpenBLAS bundled with numpy: its file name and the getter and
-    setter of its thread count."""
-
-    library: str
-    get: Callable[[], int]
-    put: Callable[[int], None]
-
-
-@functools.cache
-def _openblas() -> OpenBlas | None:
-    """The OpenBLAS bundled with numpy, or None where it is not found."""
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-            get = lib.scipy_openblas_get_num_threads64_
-            put = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return OpenBlas(path.name, get, put)
-    return None
-
-
 def _trace_workers(model: GruModel) -> int:
     """Threads that score one series' trace: one per CPU available to the
     process, or one for narrow models and where BLAS cannot be held to one
     thread (with BLAS's own threads running the pool is no faster)."""
-    if max(model.spec.units) < POOL_MIN_UNITS or _openblas() is None:
+    if max(model.spec.units) < POOL_MIN_UNITS or openblas() is None:
         return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS to one thread, where it is found, while a pool or
-    ``train.fit`` calls it."""
-    blas = _openblas()
-    if blas is None:
-        yield
-        return
-    before = blas.get()
-    blas.put(1)
-    try:
-        yield
-    finally:
-        blas.put(before)
 
 
 def _cancel_and_drain(futures: list[Future]) -> None:
@@ -203,14 +157,7 @@ def series_probabilities(model: GruModel, series: CleanSeries,
     chunks of 128 by up to 1.1e-16, and on 37 or more workers a chunk holds
     6 windows or fewer (ROADMAP item 2).
     """
-    window = model.spec.window_size
-    x = series.window_input()
-    n = len(x)
-    if n < window:
-        raise SeriesTooShort(
-            f"series {series.id!r} has {n} samples, needs {window}"
-        )
-    views = np.lib.stride_tricks.sliding_window_view(x, (window, 2))[:, 0]
+    views = series.windows(model.spec.window_size)[0]
     out = np.empty(len(views))
     workers = _trace_workers(model)
     step = max(1, EVAL_CHUNK // workers)
@@ -230,7 +177,7 @@ def series_probabilities(model: GruModel, series: CleanSeries,
             # more peak memory.
             ends = map(score, starts)
         else:
-            stack.enter_context(_one_blas_thread())
+            stack.enter_context(one_blas_thread())
             pool = stack.enter_context(ThreadPoolExecutor(workers))
             futures = [pool.submit(score, lo) for lo in starts]
             stack.callback(_cancel_and_drain, futures)

@@ -177,10 +177,6 @@ class Surrogate:
         return len(self.y)
 
     @property
-    def length_scales(self) -> np.ndarray:
-        return np.exp(self.log_ell)
-
-    @property
     def signal_var(self) -> float:
         return float(np.exp(2.0 * self.log_sf))
 

@@ -33,8 +33,9 @@ Reduction order: per direction, each sum over rows is one product over all
 it): d_wx = x^T d_pre, d_b = sum(d_pre), and over the rows of steps 1..T-1
 (step 0 reads the zero state) d_u_zr = h_prev^T [d_z|d_r] and
 d_u_c = (r * h_prev)^T d_c. Float sums depend on their order, so another
-order would change the trained weights; ``train.fit`` also holds BLAS to one
-thread, whose count changes how it splits a product.
+order would change the trained weights. BLAS's thread count changes how it
+splits a product, so ``train.fit`` (and a pooled trace) holds numpy's
+OpenBLAS to one thread with :func:`one_blas_thread`.
 
 All arithmetic is float64. Per step and for all directions together, the
 forward loop makes two small matmuls and two tanh calls; the sigmoid is
@@ -44,9 +45,14 @@ it cannot overflow at any input and needs no sign masks.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from copy import deepcopy
 from dataclasses import dataclass, field, fields
 from itertools import repeat
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -333,6 +339,50 @@ def _scan_backward(layer: GruLayer, cache: _ScanCache, d_hs: np.ndarray) -> tupl
         grads.b[k] = rows.sum(axis=0)
         np.matmul(rows, layer.wx[k].T, out=d_x[k])
     return grads, d_x.reshape(n, T, B, D)
+
+
+# --- BLAS thread count ------------------------------------------------------------
+
+
+class OpenBlas(NamedTuple):
+    """The OpenBLAS bundled with numpy: its file name and the getter and
+    setter of its thread count."""
+
+    library: str
+    get: Callable[[], int]
+    put: Callable[[int], None]
+
+
+@functools.cache
+def openblas() -> OpenBlas | None:
+    """The OpenBLAS bundled with numpy, or None where it is not found."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return OpenBlas(path.name, get, put)
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold OpenBLAS to one thread, where it is found, while a pool or
+    ``train.fit`` calls it."""
+    blas = openblas()
+    if blas is None:
+        yield
+        return
+    before = blas.get()
+    blas.put(1)
+    try:
+        yield
+    finally:
+        blas.put(before)
 
 
 # --- full model forward / backward ----------------------------------------------

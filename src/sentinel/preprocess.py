@@ -33,6 +33,7 @@ from .errors import (
     EmptyChannel,
     EmptyDataset,
     ParseError,
+    SeriesTooShort,
     TooFewSeries,
 )
 
@@ -82,6 +83,17 @@ class CleanSeries:
     def window_input(self) -> np.ndarray:
         """Model input layout: (length, 2) with columns (mBP, HR)."""
         return np.stack([self.mbp, self.hr], axis=1)
+
+    def windows(self, size: int, stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """Every ``stride``-th window of ``size`` samples of :meth:`window_input`:
+        a read-only ``(n_windows, size, 2)`` view, and the index of each
+        window's last sample. Raises SeriesTooShort below ``size`` samples."""
+        x = self.window_input()
+        if len(x) < size:
+            raise SeriesTooShort(
+                f"series {self.id!r} has {len(x)} samples, needs {size}")
+        views = np.lib.stride_tricks.sliding_window_view(x, (size, 2))[::stride, 0]
+        return views, np.arange(size - 1, len(x), stride)
 
 
 @dataclass

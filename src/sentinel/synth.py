@@ -23,8 +23,7 @@ from scipy import signal
 
 from .data import DEFAULT_RATE_HZ, Label, RawRecording, write_manifest, write_recording
 from .errors import ConfigInvalid
-
-TRIM_SAFE = 500  # samples lost to head trimming; patterns must land after this
+from .preprocess import TRIM_HEAD
 
 
 @dataclass
@@ -91,7 +90,7 @@ class SynthConfig:
     def _marker_low(self, length: int) -> int:
         # final third, and far enough in that trimming keeps the whole pattern
         return max((2 * length) // 3,
-                   TRIM_SAFE + self.marker_headroom + self.onset_lead)
+                   TRIM_HEAD + self.marker_headroom + self.onset_lead)
 
     def _marker_high(self, length: int) -> int:
         return length - 61  # clear of the 50-sample tail trim

@@ -25,10 +25,8 @@ from .errors import (
     CorruptCheckpoint,
     NonFiniteLoss,
     NoPositiveWindows,
-    SeriesTooShort,
     VersionMismatch,
 )
-from .evaluate import _one_blas_thread
 from .nn import (
     AdadeltaState,
     DenseSoftmaxHead,
@@ -40,11 +38,11 @@ from .nn import (
     batch_loss,
     forward_batch,
     init_params,
+    one_blas_thread,
 )
 from .preprocess import CleanSeries, SplitDataset
 
 NEGATIVE, POSITIVE = 0, 1
-LABEL_INDEX = {Label.NOSYNCOPE: NEGATIVE, Label.SYNCOPE: POSITIVE}
 
 CHECKPOINT_FORMAT = "sentinel-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -80,50 +78,10 @@ class TrainConfig:
 
 
 @dataclass
-class WindowBatch:
-    inputs: np.ndarray    # (batch, window_size, 2)
-    targets: np.ndarray   # (batch, 2) one-hot
-    provenance: list[tuple[str, int]]  # (series id, end index) per row
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self.targets.argmax(axis=1)
-
-
-def make_windows(series: CleanSeries, cfg: TrainConfig) -> list[tuple[np.ndarray, int, int]]:
-    """Slide a window over one cleaned series and label each position.
-
-    Returns (window, label, end_index) triples; end_index is the index of
-    the window's last sample within the series.
-    """
-    x = series.window_input()
-    n = len(x)
-    if n < cfg.window_size:
-        raise SeriesTooShort(
-            f"series {series.id!r} has {n} samples, needs {cfg.window_size}"
-        )
-    syncope = series.label is Label.SYNCOPE
-    if syncope and series.marker_index is None:
-        return []
-    out = []
-    for start in range(0, n - cfg.window_size + 1, cfg.stride):
-        end = start + cfg.window_size - 1
-        if syncope:
-            m = series.marker_index
-            if end > m:
-                continue
-            label = POSITIVE if end >= m - cfg.positive_horizon else NEGATIVE
-        else:
-            label = NEGATIVE
-        out.append((x[start:start + cfg.window_size], label, end))
-    return out
-
-
-@dataclass
 class WindowSet:
     inputs: np.ndarray   # (n, window_size, 2)
     labels: np.ndarray   # (n,) ints
-    provenance: list[tuple[str, int]]
+    provenance: list[tuple[str, int]]  # (series id, end index) per row
     skipped_series: list[str]
 
     def __len__(self) -> int:
@@ -131,38 +89,37 @@ class WindowSet:
 
 
 def build_window_set(series_list: list[CleanSeries], cfg: TrainConfig) -> WindowSet:
-    """Extract labeled windows from every series in the list."""
-    windows, labels, prov, skipped = [], [], [], []
+    """Cut every series into windows (:meth:`CleanSeries.windows` at
+    ``cfg.stride``) and label each by the index of its last sample."""
+    inputs, labels = [np.zeros((0, cfg.window_size, 2))], [np.zeros(0, dtype=int)]
+    prov, skipped = [], []
     for s in series_list:
-        triples = make_windows(s, cfg)
-        if not triples and s.label is Label.SYNCOPE and s.marker_index is None:
+        windows, ends = s.windows(cfg.window_size, cfg.stride)
+        if s.label is not Label.SYNCOPE:
+            label = np.full(len(ends), NEGATIVE)
+        elif s.marker_index is None:
             skipped.append(s.id)
             continue
-        for w, y, end in triples:
-            windows.append(w)
-            labels.append(y)
-            prov.append((s.id, end))
-    if windows:
-        inputs = np.stack(windows)
-    else:
-        inputs = np.zeros((0, cfg.window_size, 2))
-    return WindowSet(inputs=inputs, labels=np.array(labels, dtype=int),
+        else:
+            # windows ending after the marker are a suffix: cut it off
+            keep = np.searchsorted(ends, s.marker_index, side="right")
+            windows, ends = windows[:keep], ends[:keep]
+            label = np.where(ends >= s.marker_index - cfg.positive_horizon,
+                             POSITIVE, NEGATIVE)
+        inputs.append(windows)
+        labels.append(label)
+        prov += [(s.id, end) for end in ends.tolist()]
+    return WindowSet(inputs=np.concatenate(inputs), labels=np.concatenate(labels),
                      provenance=prov, skipped_series=skipped)
 
 
 def iter_batches(window_set: WindowSet, batch_size: int, rng: np.random.Generator):
-    """Yield shuffled mini-batches; the final short batch is kept."""
-    n = len(window_set)
-    order = rng.permutation(n)
-    for lo in range(0, n, batch_size):
+    """Yield shuffled ``(inputs, labels)`` mini-batches; the final short
+    batch is kept."""
+    order = rng.permutation(len(window_set))
+    for lo in range(0, len(order), batch_size):
         idx = order[lo:lo + batch_size]
-        onehot = np.zeros((len(idx), 2))
-        onehot[np.arange(len(idx)), window_set.labels[idx]] = 1.0
-        yield WindowBatch(
-            inputs=window_set.inputs[idx],
-            targets=onehot,
-            provenance=[window_set.provenance[i] for i in idx],
-        )
+        yield window_set.inputs[idx], window_set.labels[idx]
 
 
 @dataclass
@@ -180,8 +137,9 @@ def fit(split: SplitDataset, spec: ModelSpec, cfg: TrainConfig,
 
     Deterministic for a fixed config: the same seed drives initialization
     and every epoch's shuffle. Numpy's OpenBLAS is held to one thread while
-    training, because its sums over rows round differently at another
-    thread count; so the trained weights do not depend on it. Raises
+    training (:func:`nn.one_blas_thread`), because its sums over rows round
+    differently at another thread count; so the trained weights do not
+    depend on it. Raises
     NonFiniteLoss if the loss diverges; the exception carries the model as
     of the last completed epoch.
     """
@@ -209,22 +167,22 @@ def fit(split: SplitDataset, spec: ModelSpec, cfg: TrainConfig,
     )
     rng = np.random.default_rng(cfg.seed)
     last_good = model.copy()
-    with _one_blas_thread():
+    with one_blas_thread():
         for _ in range(cfg.epochs):
             total, count = 0.0, 0
-            for batch in iter_batches(ws, cfg.batch_size, rng):
-                probs, cache = forward_batch(model, batch.inputs)
-                loss = batch_loss(probs, batch.labels)
+            for inputs, labels in iter_batches(ws, cfg.batch_size, rng):
+                probs, cache = forward_batch(model, inputs)
+                loss = batch_loss(probs, labels)
                 if not np.isfinite(loss):
                     raise NonFiniteLoss(
                         f"non-finite training loss after {len(history.epoch_losses)} "
                         f"completed epochs",
                         last_good_model=last_good,
                     )
-                grads = backward_batch(model, cache, batch.labels)
+                grads = backward_batch(model, cache, labels)
                 adadelta_update(model, grads, state)
-                total += loss * len(batch.labels)
-                count += len(batch.labels)
+                total += loss * len(labels)
+                count += len(labels)
             state.end_epoch()
             history.epoch_losses.append(total / count)
             last_good = model.copy()

@@ -164,7 +164,7 @@ class TestPooledTrace:
         assert evaluate._trace_workers(narrow) == 1
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count())
-        want = cpus if evaluate._openblas() is not None else 1
+        want = cpus if nn.openblas() is not None else 1
         assert evaluate._trace_workers(wide_model()) == want
 
     def test_pooled_equals_one_worker_bitwise(self, monkeypatch):
@@ -199,7 +199,7 @@ class TestPooledTrace:
             assert_allclose(trace[i], probs[1], rtol=0, atol=1e-12)
 
     def test_blas_threads_restored(self, monkeypatch):
-        blas = evaluate._openblas()
+        blas = nn.openblas()
         if blas is None:
             pytest.skip("numpy's bundled OpenBLAS not found")
         get = blas.get
