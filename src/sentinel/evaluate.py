@@ -34,7 +34,7 @@ from .nn import GruModel, forward_batch, one_blas_thread, openblas
 from .preprocess import CleanSeries
 
 DEFAULT_THRESHOLD = 0.5  # P(syncope) at or above which a window alarms
-EVAL_CHUNK = 256  # windows in flight at once when tracing a series
+EVAL_CHUNK = 128  # windows per forward pass of a trace, at any worker count
 # Models whose widest layer is narrower than this trace serially: their
 # per-step numpy calls are too short to release the interpreter lock
 # usefully. Pooled against serial speed on 2 CPUs (1- and 2-layer
@@ -142,34 +142,30 @@ def series_probabilities(model: GruModel, series: CleanSeries,
     of them when a detection rule is given.
 
     Entry i corresponds to the window ending at sample i + window_size - 1.
-    The windows are scored in order, in chunks of ``EVAL_CHUNK // workers``
-    on ``_trace_workers(model)`` threads (one worker scores them on the
-    calling thread). With ``rule`` = (threshold, consecutive) scoring stops
-    at the chunk that completes the first run of ``consecutive`` entries
-    >= threshold, and the trace ends with that chunk; chunks the pool has
-    not started are cancelled, and those it has run to their end (an error
-    in one is raised). The first alarm of the prefix is the first alarm of
-    the whole trace, and each entry is the same number either way.
-
-    The trace is bit-identical at the worker counts ``TestPooledTrace``
-    checks (1, 2, 3 and 8), but a window's probability can change in the
-    last bits with its chunk size: chunks of 1 or 7 windows differ from
-    chunks of 128 by up to 1.1e-16, and on 37 or more workers a chunk holds
-    6 windows or fewer (ROADMAP item 2).
+    The windows are scored in order, in chunks of ``EVAL_CHUNK`` with
+    OpenBLAS held to one thread, on ``_trace_workers(model)`` threads (one
+    worker scores them on the calling thread). Chunk size and BLAS threads
+    can change a probability's last bits, the worker count cannot: the
+    trace is bit-identical at any worker count. With ``rule`` = (threshold,
+    consecutive) scoring stops at the chunk that completes the first run of
+    ``consecutive`` entries >= threshold, and the trace ends with that
+    chunk; chunks the pool has not started are cancelled, and those it has
+    run to their end (an error in one is raised). The first alarm of the
+    prefix is the first alarm of the whole trace, and each entry is the
+    same number either way.
     """
     views = series.windows(model.spec.window_size)[0]
     out = np.empty(len(views))
     workers = _trace_workers(model)
-    step = max(1, EVAL_CHUNK // workers)
 
     def score(lo: int) -> int:
-        chunk = np.ascontiguousarray(views[lo:lo + step])
+        chunk = np.ascontiguousarray(views[lo:lo + EVAL_CHUNK])
         probs, _ = forward_batch(model, chunk, need_cache=False)
         out[lo:lo + len(chunk)] = probs[:, 1]
         return lo + len(chunk)
 
-    starts = range(0, len(views), step)
-    with ExitStack() as stack:
+    starts = range(0, len(views), EVAL_CHUNK)
+    with one_blas_thread(), ExitStack() as stack:
         if workers == 1:
             # On the calling thread: a one-worker pool started per series
             # (HPO validation traces many short series) left whole `hpo`
@@ -177,7 +173,6 @@ def series_probabilities(model: GruModel, series: CleanSeries,
             # more peak memory.
             ends = map(score, starts)
         else:
-            stack.enter_context(one_blas_thread())
             pool = stack.enter_context(ThreadPoolExecutor(workers))
             futures = [pool.submit(score, lo) for lo in starts]
             stack.callback(_cancel_and_drain, futures)
@@ -193,10 +188,17 @@ def series_probabilities(model: GruModel, series: CleanSeries,
     return out
 
 
-def detect_from_trace(trace: np.ndarray, threshold: float, consecutive: int = 1) -> int | None:
-    """First index opening a run of `consecutive` values >= threshold."""
+def _check_rule(threshold: float, consecutive: int) -> None:
+    """The one check of a detection rule; callers run it before scoring."""
+    if not 0.0 < threshold < 1.0:
+        raise ConfigError(f"threshold must be in (0,1), got {threshold}")
     if consecutive < 1:
         raise ConfigError(f"consecutive must be >= 1, got {consecutive}")
+
+
+def detect_from_trace(trace: np.ndarray, threshold: float, consecutive: int = 1) -> int | None:
+    """First index opening a run of `consecutive` values >= threshold."""
+    _check_rule(threshold, consecutive)
     hits = np.asarray(trace) >= threshold
     if consecutive > 1:
         if len(hits) < consecutive:
@@ -217,8 +219,7 @@ def detect_series(model: GruModel, series: CleanSeries, threshold: float,
                   consecutive: int = 1) -> int | None:
     """End index (into the series) of the first window opening a run of
     `consecutive` stride-1 windows whose P(syncope) >= threshold."""
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"threshold must be in (0,1), got {threshold}")
+    _check_rule(threshold, consecutive)
     trace = series_probabilities(model, series, (threshold, consecutive))
     return window_end(model, detect_from_trace(trace, threshold, consecutive))
 
@@ -237,8 +238,7 @@ def evaluate_dataset(model: GruModel, series_list: list[CleanSeries],
     """
     if not series_list:
         raise EmptyEvaluation("no series to evaluate")
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"threshold must be in (0,1), got {threshold}")
+    _check_rule(threshold, consecutive)
     confusion = ConfusionCounts()
     outcomes = []
     for series in series_list:
@@ -295,8 +295,8 @@ def threshold_sweep(model: GruModel, series_list: list[CleanSeries],
     if not thresholds:
         raise ConfigError("thresholds list is empty")
     arr = list(thresholds)
-    if any(not 0.0 < t < 1.0 for t in arr):
-        raise ConfigError("thresholds must lie in (0,1)")
+    for t in arr:
+        _check_rule(t, consecutive)
     if any(b <= a for a, b in zip(arr, arr[1:])):
         raise ConfigError("thresholds must be strictly ascending")
     traces: dict[str, np.ndarray] = {}

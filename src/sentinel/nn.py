@@ -34,7 +34,7 @@ it): d_wx = x^T d_pre, d_b = sum(d_pre), and over the rows of steps 1..T-1
 (step 0 reads the zero state) d_u_zr = h_prev^T [d_z|d_r] and
 d_u_c = (r * h_prev)^T d_c. Float sums depend on their order, so another
 order would change the trained weights. BLAS's thread count changes how it
-splits a product, so ``train.fit`` (and a pooled trace) holds numpy's
+splits a product, so ``train.fit`` and every stride-1 trace hold numpy's
 OpenBLAS to one thread with :func:`one_blas_thread`.
 
 All arithmetic is float64. Per step and for all directions together, the
@@ -56,7 +56,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoActivationCache
+from .errors import ConfigInvalid, DimensionMismatch, NoActivationCache
 
 PROB_FLOOR = 1e-12
 
@@ -85,11 +85,11 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
+            raise ConfigInvalid("num_layers must be >= 1")
         if len(self.units) != self.num_layers:
-            raise ValueError("units list length must equal num_layers")
+            raise ConfigInvalid("units list length must equal num_layers")
         if any(u < 1 for u in self.units) or self.window_size < 1:
-            raise ValueError("units and window_size must be positive")
+            raise ConfigInvalid("units and window_size must be positive")
 
     @property
     def n_dir(self) -> int:
@@ -371,8 +371,7 @@ def openblas() -> OpenBlas | None:
 
 @contextmanager
 def one_blas_thread():
-    """Hold OpenBLAS to one thread, where it is found, while a pool or
-    ``train.fit`` calls it."""
+    """Hold OpenBLAS to one thread, where it is found, while a trace or ``train.fit`` runs."""
     blas = openblas()
     if blas is None:
         yield

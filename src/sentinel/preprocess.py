@@ -269,28 +269,22 @@ def remove_outliers_iterative(x: np.ndarray, cfg: OutlierConfig) -> OutlierResul
         raise BadWindow(
             f"signal length {y.size} shorter than median window {cfg.median_window}"
         )
-    removed: set[int] = set()
+    removed = np.zeros(y.size, dtype=bool)
     thresholds: list[float] = []
     threshold = cfg.initial_threshold
-    iterations = 0
     for _ in range(cfg.max_iterations):
-        iterations += 1
         thresholds.append(threshold)
         s = studentize(y)
         f = median_filter(s, cfg.median_window)
-        marked = np.flatnonzero(np.abs(s - f) > threshold)
-        if marked.size == 0:
+        marked = np.abs(s - f) > threshold
+        if not marked.any():
             break
-        removed.update(int(i) for i in marked)
+        removed |= marked
         y[marked] = np.nan
         y = fill_gap_values(y)
         threshold *= cfg.decay
-    return OutlierResult(
-        values=y,
-        iterations=iterations,
-        removed=np.array(sorted(removed), dtype=int),
-        thresholds=thresholds,
-    )
+    return OutlierResult(values=y, iterations=len(thresholds),
+                         removed=np.flatnonzero(removed), thresholds=thresholds)
 
 
 def minmax_normalize(x: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:

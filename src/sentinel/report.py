@@ -12,6 +12,8 @@ import csv
 from html import escape
 from pathlib import Path
 
+from .errors import ParseError
+
 WIDTH = 640
 HEIGHT = 360
 MARGIN = {"left": 64, "right": 20, "top": 30, "bottom": 48}
@@ -196,14 +198,19 @@ def _column(rows, idx):
 
 
 def render_csv(path) -> tuple[str, str] | None:
-    """Render one known CSV layout to (title, svg); None when unrecognized."""
+    """Render one known CSV layout to (title, svg); None when unrecognized.
+    A row of a recognized layout that does not parse raises ParseError."""
     path = Path(path)
     header, rows = _read_csv(path)
     if header is None:
         return None
-    header = [h.strip() for h in header]
-    title = path.stem
+    try:
+        return _render_rows(path.stem, [h.strip() for h in header], rows)
+    except (ValueError, IndexError) as exc:
+        raise ParseError(f"{path}: a row does not fit its layout: {exc}") from exc
 
+
+def _render_rows(title: str, header: list[str], rows) -> tuple[str, str] | None:
     if header == ["epoch", "loss"]:
         xs = [float(r[0]) for r in rows]
         ys = [float(r[1]) for r in rows]

@@ -602,6 +602,7 @@ class TestExitCodes:
         ("hpo", ["--epochs", "-1"], "epochs"),
         ("hpo", ["--n-init", "-2"], "n_init"),
         ("preprocess", ["--train-fraction", "1"], "train_fraction"),
+        ("train", ["--window", "0"], "window_size"),
     ])
     def test_bad_setting_exits_2_before_any_work(self, pipeline, tmp_path,
                                                  monkeypatch, capsys,
@@ -613,6 +614,8 @@ class TestExitCodes:
             space.write_text(SPACE_INI)
             inputs = ["--train-dir", pipeline / "prep" / "clean" / "train",
                       "--space", space, "--budget", 8, "--stride", 80]
+        elif command == "train":
+            inputs = ["--train-dir", pipeline / "prep" / "clean" / "train"]
         else:
             inputs = ["--data", pipeline / "synth" / "data"]
         code = run_cli(command, *inputs, *args, "--out", tmp_path / "o",
@@ -652,6 +655,17 @@ class TestExitCodes:
         assert err["error"] == "ConfigInvalid"
         assert str(log) in err["message"] and named in err["message"]
         assert fits == []
+
+    @pytest.mark.parametrize("row", ["0,abc", "0"], ids=["not-a-number", "short"])
+    def test_report_unparseable_row_exits_3(self, tmp_path, capsys, row):
+        loss = tmp_path / "loss.csv"
+        loss.write_text(f"epoch,loss\n{row}\n")
+        code = main(["report", "--inputs", str(loss),
+                     "--out", str(tmp_path / "o"), "--log-level", "error"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert str(loss) in err["message"]
 
     def test_report_missing_input_exits_2(self, tmp_path):
         code = main(["report", "--inputs", str(tmp_path / "ghost.csv"),

@@ -21,7 +21,9 @@ from sentinel.errors import (
     SeriesTooShort,
     UndefinedF,
 )
-from sentinel.preprocess import CleanSeries
+from sentinel.data import scan_dataset
+from sentinel.preprocess import CleanSeries, PreprocessConfig, preprocess_pipeline
+from sentinel.synth import SynthConfig, generate_dataset
 
 
 def make_series(sid, label, length=400, marker=None, seed=0):
@@ -151,9 +153,9 @@ class TestSeriesProbabilities:
 
 
 class TestPooledTrace:
-    # 389 windows: chunks of 128 (2 workers), 85 (3) and 32 (8) all end
-    # in a partial chunk
+    # 389 windows: three chunks of 128 and a partial one of 5
     LENGTH = 400
+    WORKERS = (1, 2, 3, 8, 37, 64)
 
     def series(self):
         return make_series("p", Label.SYNCOPE, length=self.LENGTH, seed=4)
@@ -167,11 +169,35 @@ class TestPooledTrace:
         want = cpus if nn.openblas() is not None else 1
         assert evaluate._trace_workers(wide_model()) == want
 
-    def test_pooled_equals_one_worker_bitwise(self, monkeypatch):
-        model, s = wide_model(), self.series()
-        serial = trace_on(monkeypatch, 1, model, s)
-        for workers in (2, 3):
-            assert np.array_equal(trace_on(monkeypatch, workers, model, s), serial)
+    @pytest.fixture(scope="class")
+    def cleaned(self, tmp_path_factory):
+        """A cleaned synthetic series on which chunks of 256 // workers
+        windows gave other bits at 3 and at 37 workers than at 1."""
+        root = tmp_path_factory.mktemp("pooled")
+        generate_dataset(SynthConfig(n_syncope=3, n_nosyncope=3, seed=9,
+                                     length_range=(1700, 1900)), root)
+        split, _ = preprocess_pipeline(scan_dataset(root), PreprocessConfig(), seed=9)
+        return split.train[0]
+
+    def test_pooled_equals_one_worker_bitwise(self, monkeypatch, cleaned):
+        real = evaluate.forward_batch
+        paper = nn.init_params(nn.ModelSpec(2, [32, 32], True, 100), seed=3)
+        for model, s in ((wide_model(), self.series()), (paper, cleaned)):
+            n = len(s.mbp) - model.spec.window_size + 1
+            chunks = [min(evaluate.EVAL_CHUNK, n - lo)
+                      for lo in range(0, n, evaluate.EVAL_CHUNK)]
+            traces = {}
+            for workers in self.WORKERS:
+                seen = []
+
+                def spy(model, windows, need_cache=True):
+                    seen.append(len(windows))
+                    return real(model, windows, need_cache)
+
+                monkeypatch.setattr(evaluate, "forward_batch", spy)
+                traces[workers] = trace_on(monkeypatch, workers, model, s)
+                assert sorted(seen, reverse=True) == chunks, workers
+                assert np.array_equal(traces[workers], traces[1]), workers
 
     def test_stress_many_workers_short_switch_interval(self, monkeypatch):
         model, s = wide_model(), self.series()
@@ -190,7 +216,7 @@ class TestPooledTrace:
         model, s = wide_model(), self.series()
         window = model.spec.window_size
         trace = trace_on(monkeypatch, 2, model, s)
-        step = evaluate.EVAL_CHUNK // 2
+        step = evaluate.EVAL_CHUNK
         x = s.window_input()
         edges = [0, step - 1, step, 2 * step - 1, 2 * step, 3 * step - 1, 3 * step,
                  len(trace) - 1]
@@ -224,6 +250,30 @@ class TestPooledTrace:
         with pytest.raises(RuntimeError, match="boom"):
             trace_on(monkeypatch, 2, model, s)
         assert get() == before
+
+    def test_serial_trace_holds_one_blas_thread(self, monkeypatch):
+        blas = nn.openblas()
+        if blas is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        narrow = nn.init_params(nn.ModelSpec(
+            2, [evaluate.POOL_MIN_UNITS - 1] * 2, bidirectional=True, window_size=12), seed=2)
+        assert evaluate._trace_workers(narrow) == 1
+        seen = []
+        real = evaluate.forward_batch
+
+        def spy(*args, **kwargs):
+            seen.append(blas.get())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "forward_batch", spy)
+        before = blas.get()
+        blas.put(2)
+        try:
+            evaluate.series_probabilities(narrow, self.series())
+            assert seen and set(seen) == {1}
+            assert blas.get() == 2
+        finally:
+            blas.put(before)
 
 
 def patched_eval(monkeypatch, traces_by_id):
@@ -327,7 +377,7 @@ class TestEarlyStop:
     traces."""
 
     WINDOW = 10
-    N_WINDOWS = 700  # chunks of 256 (1 worker), 128 (2) and 85 (3)
+    N_WINDOWS = 700  # five chunks of 128 and one of 60
 
     def scripted(self, sid, label, alarms):
         """A series whose window i carries P(syncope) 0.9 for i in
@@ -357,9 +407,8 @@ class TestEarlyStop:
         sy, no = Label.SYNCOPE, Label.NOSYNCOPE
         return [
             self.scripted("first-chunk", sy, [5]),
-            # a run of 3 opening at 254 straddles the chunk edges at 255
-            # (3 workers) and 256 (1 and 2 workers); the shorter runs before
-            # it alarm only at consecutive 1
+            # a run of 3 opening at 254 straddles the chunk edge at 256; the
+            # shorter runs before it alarm only at consecutive 1
             self.scripted("straddle", sy, [100, 200, 201, 254, 255, 256, 257]),
             self.scripted("last-chunk", no, [650, 651, 652]),
             self.scripted("never", no, []),
@@ -385,7 +434,7 @@ class TestEarlyStop:
             assert detections == [None, 254 + end, 650 + end, None]
         # each series is scored through the chunk holding the last entry of
         # its first alarm run; a pool may also finish chunks already started
-        step = evaluate.EVAL_CHUNK // workers
+        step = evaluate.EVAL_CHUNK
         needed = sum(self.N_WINDOWS if d is None else
                      min(self.N_WINDOWS, (d - end + consecutive - 1) // step * step + step)
                      for d in detections)
@@ -403,7 +452,28 @@ class TestEarlyStop:
         assert evaluate.detect_series(model, s, 0.5) == 5 + self.WINDOW - 1
         assert chunks == [evaluate.EVAL_CHUNK] * 2
         evaluate.threshold_sweep(model, [s], [0.5])
-        assert chunks[2:] == [256, 256, self.N_WINDOWS - 512]
+        assert chunks[2:] == [128] * 5 + [self.N_WINDOWS - 640]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("threshold, consecutive", [(0.5, 0), (1.5, 1)])
+    @pytest.mark.parametrize("entry", ["evaluate_dataset", "detect_series",
+                                       "threshold_sweep"])
+    def test_bad_rule_raises_before_any_window_is_scored(
+            self, monkeypatch, chunks, workers, threshold, consecutive, entry):
+        monkeypatch.setattr(evaluate, "_trace_workers", lambda m: workers)
+        model = tiny_model(window=self.WINDOW)
+        s = self.scripted("never", Label.NOSYNCOPE, [])
+        calls = {
+            "evaluate_dataset": lambda: evaluate.evaluate_dataset(
+                model, [s], threshold, consecutive),
+            "detect_series": lambda: evaluate.detect_series(
+                model, s, threshold, consecutive),
+            "threshold_sweep": lambda: evaluate.threshold_sweep(
+                model, [s], [0.25, threshold], consecutive),
+        }
+        with pytest.raises(ConfigError):
+            calls[entry]()
+        assert chunks == []
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pool_cancels_chunks_not_started(self, monkeypatch, workers):
@@ -424,7 +494,7 @@ class TestEarlyStop:
         s = self.scripted("first-chunk", Label.SYNCOPE, [5])
         trace = evaluate.series_probabilities(tiny_model(window=self.WINDOW), s,
                                               (0.5, 1))
-        step = evaluate.EVAL_CHUNK // workers
+        step = evaluate.EVAL_CHUNK
         assert len(trace) == step
         assert len(starts) < -(-self.N_WINDOWS // step)
 
