@@ -3,8 +3,8 @@
 Phase 1 explores a mixed space (architecture, window, learning rate) with a
 Gaussian-process surrogate and expected improvement; phase 2 re-searches the
 architecture dimensions with everything else pinned at the phase-1 winner.
-To keep the demo quick the inner objective trains one-epoch models on a tiny
-cohort; the mechanics are identical at full scale.
+Each trial is ``sentinel hpo``'s (``hpo.make_pipeline_objective``), training
+four-epoch models on a tiny cohort; the mechanics are identical at full scale.
 
 Run:  python3 demos/hyperparameter_search.py
 """
@@ -13,12 +13,9 @@ import tempfile
 from pathlib import Path
 
 from sentinel.data import scan_dataset
-from sentinel.evaluate import evaluate_dataset
-from sentinel.hpo import Dimension, SearchSpace, run_two_phase
-from sentinel.nn import ModelSpec
-from sentinel.preprocess import PreprocessConfig, preprocess_pipeline, split_train_test
+from sentinel.hpo import Dimension, SearchSpace, make_pipeline_objective, run_two_phase
+from sentinel.preprocess import PreprocessConfig, preprocess_pipeline
 from sentinel.synth import SynthConfig, generate_dataset
-from sentinel.train import TrainConfig, fit
 
 SEED = 11
 
@@ -38,10 +35,8 @@ def main():
         catalog = scan_dataset(Path(tmp))
     split, _ = preprocess_pipeline(
         catalog, PreprocessConfig(train_fraction=0.8), seed=SEED)
-    # the search scores candidates on an inner holdout carved from train
-    inner = split_train_test(split.train, train_fraction=0.75, seed=SEED)
     print(f"outer: {len(split.train)} train / {len(split.test)} test; "
-          f"inner: {len(inner.train)} fit / {len(inner.test)} score")
+          f"trials score on a 75/25 inner split of train")
 
     space = SearchSpace([
         Dimension("gru_units", "integer", 4, 16),
@@ -50,19 +45,9 @@ def main():
         Dimension("learning_rate", "log-real", 0.1, 1.0),
     ])
 
-    def objective(params):
-        window = int(params["window_size"])
-        layers = int(params["gru_layers"])
-        spec = ModelSpec(num_layers=layers,
-                         units=[int(params["gru_units"])] * layers,
-                         bidirectional=True, window_size=window)
-        tcfg = TrainConfig(window_size=window, epochs=4, stride=60,
-                           positive_horizon=300, batch_size=16, seed=SEED,
-                           lr_multiplier=float(params["learning_rate"]))
-        model, _, _ = fit(inner, spec, tcfg)
-        report = evaluate_dataset(model, inner.test, threshold=0.7)
-        return 1.0 - report.accuracy
-
+    # the dimensions the space leaves out train at the library's values
+    objective = make_pipeline_objective(split.train, SEED, epochs=4, stride=60,
+                                        horizon=300, inner_fraction=0.75)
     result = run_two_phase(space, budget1=10, budget2=6,
                            objective_fn=objective, seed=SEED, n_init=4)
 

@@ -27,7 +27,7 @@ import platform
 import re
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_args
 
@@ -44,7 +44,6 @@ from .errors import (
     UnknownCommand,
 )
 from .evaluate import (
-    DEFAULT_THRESHOLD,
     default_threshold_grid,
     evaluate_dataset,
     threshold_sweep,
@@ -53,10 +52,12 @@ from .evaluate import (
     write_sweep_csv,
 )
 from .hpo import (
+    HYPERPARAMETERS,
     Dimension,
     SearchSpace,
     Surrogate,
     default_space,
+    make_pipeline_objective,
     observe,
     partial_dependence,
     phase2_space,
@@ -72,11 +73,9 @@ from .preprocess import (
     OutlierConfig,
     PreprocessConfig,
     SplitDataset,
-    check_fraction,
     load_clean_dir,
     preprocess_pipeline,
     save_clean_series,
-    split_train_test,
 )
 from .report import render_csv, render_index
 from .synth import SynthConfig, generate_dataset
@@ -209,14 +208,14 @@ COMMAND_OPTIONS: dict[str, tuple[Option, ...]] = {
         Option("budget", int, 16, help="phase-1 trials"),
         Option("budget2", int, 8, help="phase-2 trials"),
         _derived(run_phase, "n_init", help="quasi-random warmup trials"),
-        Option("epochs", int, 5, help="training epochs per trial",
-               field="epochs"),
-        Option("inner_fraction", float, 0.8,
-               help="inner train/validation split fraction"),
+        _derived(make_pipeline_objective, "epochs",
+                 help="training epochs per trial"),
+        _derived(make_pipeline_objective, "inner_fraction",
+                 help="inner train/validation split fraction"),
         _STRIDE,
         _HORIZON,
-        Option("bidirectional", bool, True,
-               help="train bidirectional models"),
+        _derived(make_pipeline_objective, "bidirectional",
+                 help="train bidirectional models"),
         Option("space", str, "",
                help="search-space INI file (default: built-in space)"),
         Option("phase1_log", str, "",
@@ -511,10 +510,14 @@ def _cmd_sweep(config: RunConfig, out: Path, log) -> list[str]:
 
 def load_space_file(path) -> SearchSpace:
     """Read a search-space INI: one section per dimension, keys
-    kind/lower/upper."""
+    kind/lower/upper. A section must name a row of
+    :data:`hpo.HYPERPARAMETERS`, integer ones with kind integer."""
     parser = _read_ini(path, "space")
     dimensions = []
     for section in parser.sections():
+        if section not in HYPERPARAMETERS:
+            raise ConfigInvalid(f"{path}: unknown dimension [{section}]; known: "
+                                f"{', '.join(HYPERPARAMETERS)}")
         items = dict(parser.items(section))
         unknown = set(items) - {"kind", "lower", "upper"}
         if unknown:
@@ -527,6 +530,9 @@ def load_space_file(path) -> SearchSpace:
                 f"{path}: dimension [{section}] needs lower and upper"
             )
         kind = items.get("kind", "real")
+        if HYPERPARAMETERS[section].kind == "integer" and kind != "integer":
+            raise ConfigInvalid(f"{path}: dimension [{section}] must have "
+                                f"kind integer, not {kind}")
         try:
             lower, upper = float(items["lower"]), float(items["upper"])
         except ValueError:
@@ -537,47 +543,6 @@ def load_space_file(path) -> SearchSpace:
     if not dimensions:
         raise ConfigInvalid(f"{path}: space file defines no dimensions")
     return SearchSpace(dimensions)
-
-
-def make_pipeline_objective(series, config: RunConfig, log):
-    """Objective for HPO: 1 - validation accuracy of a freshly trained model.
-
-    The series are split once (seeded) into inner train/validation sides;
-    every trial trains on the same inner split so objective values are
-    comparable across trials. The settings every trial shares are checked
-    here, before the first trial.
-    """
-    # a window longer than the horizon implies at least a window-length
-    # lookback, so each trial clamps the horizon up to its window
-    horizon = config["horizon"]
-    base = _make(TrainConfig, config,
-                 positive_horizon=max(horizon, TrainConfig.window_size))
-    check_fraction(config["inner_fraction"], "inner_fraction")
-    inner = split_train_test(series, config["inner_fraction"], config["seed"])
-    bidirectional = config["bidirectional"]
-
-    def objective(params: dict) -> float:
-        window = int(params.get("window_size", base.window_size))
-        layers = int(params.get("gru_layers", 1))
-        units = int(params.get("gru_units", 32))
-        spec = ModelSpec(num_layers=layers, units=[units] * layers,
-                         bidirectional=bidirectional, window_size=window)
-        tcfg = replace(
-            base, window_size=window, positive_horizon=max(horizon, window),
-            batch_size=int(params.get("batch_size", base.batch_size)),
-            lr_multiplier=float(params.get("learning_rate", base.lr_multiplier)),
-            lr_decay=float(params.get("lr_decay", base.lr_decay)),
-        )
-        model, _, _ = fit(inner, spec, tcfg)
-        result = evaluate_dataset(
-            model, inner.test,
-            float(params.get("output_threshold", DEFAULT_THRESHOLD)))
-        value = 1.0 - (result.accuracy if result.accuracy is not None else 0.0)
-        log.info("objective %.4f at %s", value,
-                 {k: params[k] for k in sorted(params)})
-        return value
-
-    return objective
 
 
 def _write_partial_dependence(space: SearchSpace, trials, seed: int,
@@ -616,8 +581,10 @@ def _cmd_hpo(config: RunConfig, out: Path, log) -> list[str]:
     series = load_clean_dir(config["train_dir"])
     space = load_space_file(config["space"]) if config["space"] \
         else default_space()
-    objective = make_pipeline_objective(series, config, log)
     seed, n_init = config["seed"], config["n_init"]
+    objective = make_pipeline_objective(series, seed, **{
+        k: config[k] for k in ("epochs", "stride", "horizon", "inner_fraction",
+                               "bidirectional")})
     phase = str(config["phase"]).lower()
 
     if phase == "1":

@@ -13,23 +13,27 @@ two phases' best points, whether it follows phase 1 in one run
 (:func:`run_phase2`), so both give the same trials and the same best.
 
 The GP works in a unit hypercube; integer dimensions round on the way out,
-log-real dimensions map exponentially. The objective convention is
-minimization of 1 - series accuracy on a validation split carved from the
-training data (never the test set).
+log-real dimensions map exponentially. :data:`HYPERPARAMETERS` is the one
+table of what a space may name; :func:`make_pipeline_objective`, the trial,
+trains a model at a point and minimizes 1 - series accuracy on a validation
+split carved from the training data (never the test set).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import optimize
 from scipy.linalg import lapack
 from scipy.stats import norm, qmc
 
+from . import evaluate, train
 from .errors import AllTrialsFailed, ConfigError, ConfigInvalid, DegenerateSurrogate
+from .nn import ModelSpec
+from .preprocess import check_fraction, split_train_test
 
 log = logging.getLogger(__name__)
 
@@ -106,17 +110,66 @@ class SearchSpace:
         return True
 
 
+@dataclass(frozen=True)
+class Hyperparameter:
+    default: int | float  # a trial's value when the space leaves it out
+    kind: str             # kind and bounds in the default space
+    lower: float
+    upper: float
+
+
+# every name a search space may hold, in the default space's order; a trial
+# casts a searched value to the type of the row's default
+HYPERPARAMETERS = {
+    "gru_units": Hyperparameter(32, "integer", 32, 256),
+    "gru_layers": Hyperparameter(1, "integer", 1, 3),
+    "window_size": Hyperparameter(train.TrainConfig.window_size, "integer", 50, 500),
+    "batch_size": Hyperparameter(train.TrainConfig.batch_size, "integer", 8, 64),
+    "learning_rate": Hyperparameter(train.TrainConfig.lr_multiplier, "log-real", 1e-3, 1.0),
+    "lr_decay": Hyperparameter(train.TrainConfig.lr_decay, "real", 0.8, 1.0),
+    "output_threshold": Hyperparameter(evaluate.DEFAULT_THRESHOLD, "real", 0.3, 0.9),
+}
+
+
 def default_space() -> SearchSpace:
     """The seven tuned parameters with bounds bracketing every reported value."""
-    return SearchSpace([
-        Dimension("gru_units", "integer", 32, 256),
-        Dimension("gru_layers", "integer", 1, 3),
-        Dimension("window_size", "integer", 50, 500),
-        Dimension("batch_size", "integer", 8, 64),
-        Dimension("learning_rate", "log-real", 1e-3, 1.0),
-        Dimension("lr_decay", "real", 0.8, 1.0),
-        Dimension("output_threshold", "real", 0.3, 0.9),
-    ])
+    return SearchSpace([Dimension(name, h.kind, h.lower, h.upper)
+                        for name, h in HYPERPARAMETERS.items()])
+
+
+def make_pipeline_objective(series, seed: int, epochs: int = 5,
+                            stride: int = train.TrainConfig.stride,
+                            horizon: int = train.TrainConfig.positive_horizon,
+                            inner_fraction: float = 0.8, bidirectional: bool = True):
+    """Objective for HPO: 1 - validation accuracy of a freshly trained model,
+    with the :data:`HYPERPARAMETERS` value of each one a point leaves out.
+    Every trial trains on one seeded inner train/validation split of
+    ``series``, so objective values are comparable; the settings all trials
+    share are checked here, before the first trial."""
+    # a window longer than the horizon implies at least a window-length
+    # lookback, so each trial clamps the horizon up to its window
+    base = train.TrainConfig(
+        epochs=epochs, stride=stride, seed=seed,
+        positive_horizon=max(horizon, train.TrainConfig.window_size))
+    check_fraction(inner_fraction, "inner_fraction")
+    inner = split_train_test(series, inner_fraction, seed)
+
+    def objective(params: dict) -> float:
+        p = {name: type(h.default)(params.get(name, h.default))
+             for name, h in HYPERPARAMETERS.items()}
+        window, layers = p["window_size"], p["gru_layers"]
+        spec = ModelSpec(num_layers=layers, units=[p["gru_units"]] * layers,
+                         bidirectional=bidirectional, window_size=window)
+        tcfg = replace(base, window_size=window, positive_horizon=max(horizon, window),
+                       batch_size=p["batch_size"], lr_multiplier=p["learning_rate"],
+                       lr_decay=p["lr_decay"])
+        model, _, _ = train.fit(inner, spec, tcfg)
+        result = evaluate.evaluate_dataset(model, inner.test, p["output_threshold"])
+        value = 1.0 - (result.accuracy if result.accuracy is not None else 0.0)
+        log.info("objective %.4f at %s", value, {k: params[k] for k in sorted(params)})
+        return value
+
+    return objective
 
 
 def phase2_space(base: SearchSpace) -> SearchSpace:
@@ -404,6 +457,9 @@ def run_phase2(space: SearchSpace, phase1_trials: list[HpoTrial], budget: int,
 def run_two_phase(space: SearchSpace, budget1: int, budget2: int, objective_fn,
                   seed: int, n_init: int = N_INIT) -> TwoPhaseResult:
     """Phase 1 over all dims with ``seed``, then :func:`run_phase2`."""
+    phase2_space(space)  # a phase 2 that cannot run fails before phase 1
+    if budget2 < n_init:
+        raise ConfigError(f"budget2 {budget2} is below n_init {n_init}")
     trials1, _ = run_phase(space, budget1, objective_fn, seed, n_init=n_init)
     return run_phase2(space, trials1, budget2, objective_fn, seed, n_init=n_init)
 

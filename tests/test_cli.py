@@ -8,10 +8,11 @@ import json
 import re
 import shlex
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from sentinel import cli, hpo
+from sentinel import cli, evaluate, hpo, train
 from sentinel.cli import (
     COMMANDS,
     RunConfig,
@@ -34,7 +35,8 @@ from sentinel.errors import (
     NonFiniteLoss,
     UnknownCommand,
 )
-from sentinel.train import load_checkpoint
+from sentinel.nn import ModelSpec
+from sentinel.train import TrainConfig, load_checkpoint
 
 
 class TestResolveConfig:
@@ -263,6 +265,13 @@ LOG_HEADER = "trial,gru_units,window_size,learning_rate,objective,status"
 
 
 class TestSpaceFile:
+    @pytest.mark.parametrize("text", [SPACE_INI, PINNED_SPACE_INI],
+                             ids=["space", "pinned"])
+    def test_test_spaces_load(self, tmp_path, text):
+        path = tmp_path / "space.ini"
+        path.write_text(text)
+        assert set(load_space_file(path).names) <= set(hpo.HYPERPARAMETERS)
+
     def test_parse(self, tmp_path):
         path = tmp_path / "space.ini"
         path.write_text(SPACE_INI)
@@ -282,9 +291,40 @@ class TestSpaceFile:
         with pytest.raises(ConfigInvalid):
             load_space_file(path)
 
+    @pytest.mark.parametrize("text, named", [
+        ("[gru_unit]\nkind = integer\nlower = 4\nupper = 8\n",
+         "unknown dimension [gru_unit]"),
+        ("[gru_units]\nkind = real\nlower = 4\nupper = 8\n",
+         "[gru_units] must have kind integer, not real"),
+    ], ids=["misspelt", "real-units"])
+    def test_space_the_trial_cannot_train_exits_2(self, pipeline, tmp_path,
+                                                  monkeypatch, capsys, text,
+                                                  named):
+        fits = spy_fits(monkeypatch)
+        path = tmp_path / "space.ini"
+        path.write_text(text)
+        code = run_cli("hpo", "--train-dir", pipeline / "prep" / "clean" / "train",
+                       "--space", path, "--budget", 2, "--budget2", 2,
+                       "--n-init", 2, "--stride", 80, "--out", tmp_path / "o",
+                       "--log-level", "error")
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ConfigInvalid"
+        assert str(path) in err["message"] and named in err["message"]
+        assert fits == []
+
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def spy_fits(monkeypatch) -> list:
+    """Record, in place of training, every fit: those of the train command
+    (``cli.fit``) and those of hpo trials (``train.fit``)."""
+    fits = []
+    for module in (cli, train):
+        monkeypatch.setattr(module, "fit", lambda *a, **k: fits.append(a))
+    return fits
 
 
 @pytest.fixture(scope="module")
@@ -403,6 +443,41 @@ class TestPipelineSmoke:
         assert fits == [(5, 1), (5, 2), (5, 3), (6, 1), (6, 2), (6, 2)]
         assert (out / "pd_gru_units_window_size.csv").exists()
 
+    def test_hpo_settings_reach_every_trial(self, pipeline, tmp_path,
+                                            monkeypatch):
+        # the space leaves six of the seven hyperparameters out
+        seen = []
+
+        def fit(split, spec, cfg):
+            seen.append((spec, cfg))
+            return None, None, None
+
+        def evaluate_dataset(model, series, threshold):
+            seen.append(threshold)
+            return SimpleNamespace(accuracy=len(seen) / 10)
+
+        monkeypatch.setattr(train, "fit", fit)
+        monkeypatch.setattr(evaluate, "evaluate_dataset", evaluate_dataset)
+        space = tmp_path / "space.ini"
+        space.write_text("[window_size]\nkind = integer\nlower = 40\nupper = 60\n")
+        assert run_cli(
+            "hpo", "--out", tmp_path / "o",
+            "--train-dir", pipeline / "prep" / "clean" / "train",
+            "--space", space, "--phase", "1", "--budget", 2, "--n-init", 2,
+            "--epochs", 3, "--stride", 70, "--horizon", 800,
+            "--no-bidirectional", "--seed", 5, "--log-level", "warning",
+        ) == 0
+        assert len(seen) == 4
+        for (spec, cfg), threshold in zip(seen[::2], seen[1::2]):
+            window = cfg.window_size
+            assert 40 <= window <= 60
+            assert spec == ModelSpec(num_layers=1, units=[32],
+                                     bidirectional=False, window_size=window)
+            assert cfg == TrainConfig(window_size=window, epochs=3, stride=70,
+                                      positive_horizon=800, batch_size=16,
+                                      seed=5, lr_multiplier=1.0, lr_decay=1.0)
+            assert threshold == 0.5
+
     def test_hpo_phase1_then_phase2_equals_both(self, pipeline, tmp_path):
         space = tmp_path / "space.ini"
         space.write_text(PINNED_SPACE_INI)
@@ -437,8 +512,7 @@ class TestPipelineSmoke:
         p1 = tmp_path / "p1"
         assert run_cli("hpo", "--out", p1, "--phase", "1", "--budget", 2,
                        "--seed", 5, *common) == 0
-        fits = []
-        monkeypatch.setattr(cli, "fit", lambda *a, **k: fits.append(a))
+        fits = spy_fits(monkeypatch)
         capsys.readouterr()
         code = run_cli("hpo", "--out", tmp_path / "p2", "--phase", "2",
                        "--budget2", 2, "--seed", 7,
@@ -603,12 +677,12 @@ class TestExitCodes:
         ("hpo", ["--n-init", "-2"], "n_init"),
         ("preprocess", ["--train-fraction", "1"], "train_fraction"),
         ("train", ["--window", "0"], "window_size"),
+        ("hpo", ["--budget2", "1"], "budget2 1 is below n_init 8"),
     ])
     def test_bad_setting_exits_2_before_any_work(self, pipeline, tmp_path,
                                                  monkeypatch, capsys,
                                                  command, args, named):
-        fits = []
-        monkeypatch.setattr(cli, "fit", lambda *a, **k: fits.append(a))
+        fits = spy_fits(monkeypatch)
         if command == "hpo":
             space = tmp_path / "space.ini"
             space.write_text(SPACE_INI)
@@ -639,8 +713,7 @@ class TestExitCodes:
     def test_bad_phase1_log_exits_2_before_any_work(self, pipeline, tmp_path,
                                                     monkeypatch, capsys,
                                                     rows, named):
-        fits = []
-        monkeypatch.setattr(cli, "fit", lambda *a, **k: fits.append(a))
+        fits = spy_fits(monkeypatch)
         space = tmp_path / "space.ini"
         space.write_text(PINNED_SPACE_INI)
         log = tmp_path / "phase1.csv"

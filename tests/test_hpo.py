@@ -3,13 +3,17 @@ two-phase loop, and partial dependence."""
 
 import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sentinel import hpo
+from sentinel import evaluate, hpo, train
+from sentinel.data import Label
 from sentinel.errors import AllTrialsFailed, ConfigError, DegenerateSurrogate
+from sentinel.nn import ModelSpec
+from sentinel.train import TrainConfig
 
 
 def unit_space(n=2):
@@ -30,6 +34,18 @@ class TestSpace:
                 by_name["learning_rate"].upper) == (1e-3, 1.0)
         assert (by_name["output_threshold"].lower,
                 by_name["output_threshold"].upper) == (0.3, 0.9)
+
+    def test_default_space_is_unchanged(self):
+        # repr, so that the bounds keep their types as well as their values
+        assert repr(hpo.default_space().dimensions) == repr([
+            hpo.Dimension("gru_units", "integer", 32, 256),
+            hpo.Dimension("gru_layers", "integer", 1, 3),
+            hpo.Dimension("window_size", "integer", 50, 500),
+            hpo.Dimension("batch_size", "integer", 8, 64),
+            hpo.Dimension("learning_rate", "log-real", 1e-3, 1.0),
+            hpo.Dimension("lr_decay", "real", 0.8, 1.0),
+            hpo.Dimension("output_threshold", "real", 0.3, 0.9),
+        ])
 
     def test_integer_rounding_and_bounds(self):
         d = hpo.Dimension("n", "integer", 1, 3)
@@ -343,6 +359,76 @@ class TestTwoPhase:
         assert result.best_objective == min(best1.objective, best2.objective)
         assert result.best_objective <= best1.objective
         assert result.seed2 == 12
+
+
+    @pytest.mark.parametrize("space, budget2, named", [
+        (hpo.default_space(), 3, "budget2 3 is below n_init 4"),
+        (unit_space(2), 5, "none of the phase-2 dimensions"),
+    ], ids=["budget2-below-n_init", "no-phase2-dimension"])
+    def test_phase2_that_cannot_run_refused_before_phase1(self, space, budget2,
+                                                          named):
+        calls = []
+        with pytest.raises(ConfigError, match=named):
+            hpo.run_two_phase(space, 6, budget2, calls.append, seed=1, n_init=4)
+        assert calls == []
+
+
+class TestPipelineObjective:
+    """The trial: what a point trains and scores, with spies in place of
+    ``train.fit`` and ``evaluate.evaluate_dataset``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def fit(split, spec, cfg):
+            calls.append(("fit", split, spec, cfg))
+            return "model", None, None
+
+        def evaluate_dataset(model, series, threshold):
+            calls.append(("evaluate", model, series, threshold))
+            return SimpleNamespace(accuracy=0.75)
+
+        monkeypatch.setattr(train, "fit", fit)
+        monkeypatch.setattr(evaluate, "evaluate_dataset", evaluate_dataset)
+        return calls
+
+    # the inner split reads only each series' label
+    SERIES = [SimpleNamespace(label=lab) for lab in [Label.SYNCOPE, Label.NOSYNCOPE] * 5]
+
+    def test_point_that_leaves_dimensions_out_trains_with_table_values(
+            self, calls):
+        objective = hpo.make_pipeline_objective(self.SERIES, seed=7)
+        assert objective({"window_size": 60}) == 0.25
+        (_, split, spec, cfg), (_, model, scored, threshold) = calls
+        assert spec == ModelSpec(num_layers=1, units=[32], bidirectional=True,
+                                 window_size=60)
+        assert cfg == TrainConfig(window_size=60, epochs=5, stride=10,
+                                  positive_horizon=750, batch_size=16, seed=7,
+                                  lr_multiplier=1.0, lr_decay=1.0)
+        assert threshold == 0.5
+        assert model == "model" and scored == split.test
+        assert (len(split.train), len(split.test)) == (8, 2)
+
+    def test_point_values_cast_to_the_table_types(self, calls):
+        objective = hpo.make_pipeline_objective(
+            self.SERIES, seed=3, epochs=2, stride=40, horizon=120,
+            inner_fraction=0.6, bidirectional=False)
+        objective({"gru_units": 12.0, "gru_layers": 2.0, "window_size": 150.0,
+                   "batch_size": 8.0, "learning_rate": 1, "lr_decay": 1,
+                   "output_threshold": 0.7})
+        (_, split, spec, cfg), (*_, threshold) = calls
+        assert spec == ModelSpec(num_layers=2, units=[12, 12],
+                                 bidirectional=False, window_size=150)
+        # the horizon clamps up to the window
+        assert cfg == TrainConfig(window_size=150, epochs=2, stride=40,
+                                  positive_horizon=150, batch_size=8, seed=3,
+                                  lr_multiplier=1.0, lr_decay=1.0)
+        assert threshold == 0.7
+        assert [type(v) for v in (*spec.units, cfg.window_size, cfg.batch_size,
+                                  cfg.lr_multiplier, cfg.lr_decay)] == \
+            [int, int, int, int, float, float]
+        assert (len(split.train), len(split.test)) == (6, 4)
 
 
 class TestPartialDependence:
