@@ -539,7 +539,10 @@ def load_space_file(path) -> SearchSpace:
             raise ConfigInvalid(
                 f"{path}: dimension [{section}] has non-numeric bounds"
             ) from None
-        dimensions.append(Dimension(section, kind, lower, upper))
+        try:
+            dimensions.append(Dimension(section, kind, lower, upper))
+        except ConfigError as exc:  # a bad kind or bad bounds
+            raise ConfigInvalid(f"{path}: {exc}") from None
     if not dimensions:
         raise ConfigInvalid(f"{path}: space file defines no dimensions")
     return SearchSpace(dimensions)

@@ -70,7 +70,9 @@ class DimensionMismatch(SentinelError):
 
 
 class NoActivationCache(SentinelError):
-    """Backpropagation was given an inference-only forward cache."""
+    """Backpropagation was given a forward cache without usable activations:
+    inference-only, already consumed, or stale (a later forward pass reused
+    its workspace)."""
 
 
 class SeriesTooShort(DataError):

@@ -52,14 +52,14 @@ class Dimension:
 
     def __post_init__(self):
         if self.kind not in ("integer", "real", "log-real"):
-            raise ConfigError(f"unknown dimension kind {self.kind!r}")
+            raise ConfigError(f"dimension [{self.name}]: unknown kind {self.kind!r}")
         if not self.lower < self.upper:
-            raise ConfigError(f"{self.name}: lower must be < upper")
+            raise ConfigError(f"dimension [{self.name}]: lower must be < upper")
         if self.kind == "integer" and (self.lower != int(self.lower)
                                        or self.upper != int(self.upper)):
-            raise ConfigError(f"{self.name}: integer bounds must be integral")
+            raise ConfigError(f"dimension [{self.name}]: integer bounds must be integral")
         if self.kind == "log-real" and self.lower <= 0:
-            raise ConfigError(f"{self.name}: log-real bounds must be positive")
+            raise ConfigError(f"dimension [{self.name}]: log-real bounds must be positive")
 
     def from_unit(self, u: float):
         u = min(max(float(u), 0.0), 1.0)

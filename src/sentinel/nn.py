@@ -37,6 +37,21 @@ order would change the trained weights. BLAS's thread count changes how it
 splits a product, so ``train.fit`` and every stride-1 trace hold numpy's
 OpenBLAS to one thread with :func:`one_blas_thread`.
 
+Buffers: the large arrays of the cached forward pass and of BPTT (each
+gate's input share, every layer's gates, candidates and states, the next
+layer's input, the pre-activation and input gradients, and the row copies
+the weight-gradient products read) live in a :class:`Workspace`, one flat
+buffer per role. ``train.fit`` owns one workspace for the whole call and
+passes it to every batch, so after its first full batch no batch allocates
+a large array; any other :func:`forward_batch` call gets a fresh workspace
+of its own. A buffer is replaced only when a larger shape is asked for, so
+an epoch's short last batch reuses the full batches' memory. A training
+cache keeps every layer's arrays in a slot of their own until
+:func:`backward_batch` consumes them; the next ``forward_batch`` on the
+same workspace overwrites them, and ``backward_batch`` then rejects the
+stale cache with NoActivationCache instead of returning wrong gradients.
+Probabilities, features and gradients are always fresh arrays.
+
 All arithmetic is float64. Per step and for all directions together, the
 forward loop makes two small matmuls and two tanh calls; the sigmoid is
 taken in tanh form, with its halving folded into the z and r weights, so
@@ -47,6 +62,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 from contextlib import contextmanager
 from copy import deepcopy
 from dataclasses import dataclass, field, fields
@@ -204,6 +220,35 @@ def init_params(spec: ModelSpec, seed: int) -> GruModel:
     return GruModel(spec=spec, layers=layers, head=head, init_seed=seed)
 
 
+# --- buffers reused across batches ----------------------------------------------
+
+
+class Workspace:
+    """One flat float64 buffer per role, reused from batch to batch (see
+    Buffers in the module docstring). ``generation`` counts the
+    :func:`forward_batch` calls made on it."""
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+        self.allocations = 0  # buffers allocated, each growth counted
+        self.generation = 0
+
+    def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous view of the first elements of the role's buffer."""
+        size = math.prod(shape)
+        buf = self._buffers.get(role)
+        if buf is None or buf.size < size:
+            buf = self._buffers[role] = np.empty(size)
+            self.allocations += 1
+        return buf[:size].reshape(shape)
+
+    def copy(self, role: str, a: np.ndarray) -> np.ndarray:
+        """A C-contiguous copy of ``a`` in the role's buffer."""
+        out = self.take(role, a.shape)
+        np.copyto(out, a)
+        return out
+
+
 # --- batched scan over time -----------------------------------------------------
 
 
@@ -229,9 +274,14 @@ def _by_gate(a: np.ndarray, gates: int) -> np.ndarray:
     return a.reshape(n, rows, gates, -1).transpose(2, 0, 1, 3)
 
 
-def _scan(seq: np.ndarray, layer: GruLayer, need_cache: bool) -> _ScanCache:
+def _scan(seq: np.ndarray, layer: GruLayer, ws: Workspace, need_cache: bool,
+          slot: int = 0) -> _ScanCache:
     """Run every direction of ``layer`` over the time-major sequence
     ``seq`` (T, B, D), all of them in one time loop.
+
+    The input's share of each gate's pre-activation is taken from ``ws``'s
+    shared buffers, the emitted states (and, with ``need_cache``, the gates
+    and candidates) from those of ``slot``.
 
     sigmoid(a) = 0.5 + 0.5 tanh(a / 2), with the halving folded into the z
     and r weights and biases: a power-of-two scale is exact, so the gates
@@ -245,15 +295,18 @@ def _scan(seq: np.ndarray, layer: GruLayer, need_cache: bool) -> _ScanCache:
     u_zr = _by_gate(layer.u_zr, 2) * 0.5  # (2, n, H, H)
     # One (T*B, D) @ (D, H) product per gate and direction, over the input
     # in natural time: the backward direction's is reversed as it is stored,
-    # so no reversed copy of the input is made.
-    xp = np.empty((T, 3, n, B, H))
+    # so no reversed copy of the input is made. Each product is written to
+    # the states' buffer, which the time loop does not fill until after.
+    xp = ws.take("xp", (T, 3, n, B, H))
+    hs = ws.take(f"hs{slot}", (T, n, B, H))
+    xw = hs.reshape(-1)[:T * B * H].reshape(T * B, H)
     rows = seq.reshape(T * B, D)
     for g in range(3):
         for k in range(n):
-            np.add((rows @ w[g, k]).reshape(T, B, H)[::(-1) ** k], b[g, k], out=xp[:, g, k])
-    hs = np.empty((T, n, B, H))
+            np.matmul(rows, w[g, k], out=xw)
+            np.add(xw.reshape(T, B, H)[::(-1) ** k], b[g, k], out=xp[:, g, k])
     if need_cache:
-        zrs, cs = np.empty((T, 2, n, B, H)), np.empty((T, n, B, H))
+        zrs, cs = ws.take(f"zrs{slot}", (T, 2, n, B, H)), ws.take(f"cs{slot}", (T, n, B, H))
         gates = zip(zrs, cs)
     else:
         gates = repeat((np.empty((2, n, B, H)), np.empty((n, B, H))), T)
@@ -277,11 +330,13 @@ def _scan(seq: np.ndarray, layer: GruLayer, need_cache: bool) -> _ScanCache:
     return _ScanCache(seq=seq, zrs=zrs, cs=cs, hs=hs)
 
 
-def _scan_backward(layer: GruLayer, cache: _ScanCache, d_hs: np.ndarray) -> tuple[GruLayer, np.ndarray]:
+def _scan_backward(layer: GruLayer, cache: _ScanCache, d_hs: np.ndarray,
+                   ws: Workspace) -> tuple[GruLayer, np.ndarray]:
     """Exact BPTT through one scan. ``d_hs`` (T, n_dir, B, H) is the
     gradient w.r.t. every emitted state in processing order; returns the
     parameter gradients, stacked like ``layer``, and the gradient w.r.t.
-    the scanned input sequence in processing order, (n_dir, T, B, D).
+    the scanned input sequence in processing order, (n_dir, T, B, D), a
+    view of ``ws``'s buffer that the next call overwrites.
 
     Consumes ``cache``: its gate and candidate buffers are overwritten.
     """
@@ -293,7 +348,7 @@ def _scan_backward(layer: GruLayer, cache: _ScanCache, d_hs: np.ndarray) -> tupl
     # state gradient to that gate's pre-activation gradient, built in
     # whole-array passes: a_z = (c - h_prev) z(1-z), a_r = h_prev r(1-r),
     # a_c = z(1-c^2). Then z's buffer holds 1 - z, and c's holds r h_prev.
-    d_pre = np.empty((T, 3, n, B, H))
+    d_pre = ws.take("d_pre", (T, 3, n, B, H))
     a_z, a_r, a_c = d_pre[:, 0], d_pre[:, 1], d_pre[:, 2]
     a_z[0] = c[0]
     np.subtract(c[1:], h_prev, out=a_z[1:])
@@ -329,13 +384,13 @@ def _scan_backward(layer: GruLayer, cache: _ScanCache, d_hs: np.ndarray) -> tupl
     # in (time, batch) order; the recurrent weights' sums skip step 0, whose
     # h_prev is zero. One direction's rows are copied out at a time.
     grads = GruLayer(*(np.empty_like(p) for p in (layer.wx, layer.u_zr, layer.u_c, layer.b)))
-    d_x = np.empty((n, T * B, D))
+    d_x = ws.take("d_x", (n, T * B, D))
     for k, x in enumerate(_time_aligned([cache.seq] * n)):
-        rows = d_pre[:, :, k].swapaxes(1, 2).reshape(T * B, 3 * H)  # [z|r|c] columns
+        rows = ws.copy("d_rows", d_pre[:, :, k].swapaxes(1, 2)).reshape(T * B, 3 * H)  # [z|r|c] columns
         later = rows[B:]
-        grads.wx[k] = x.reshape(T * B, D).T @ rows
-        grads.u_zr[k] = h_prev[:, k].reshape(-1, H).T @ later[:, :2 * H]
-        grads.u_c[k] = rh[1:, k].reshape(-1, H).T @ later[:, 2 * H:]
+        grads.wx[k] = ws.copy("x_rows", x).reshape(T * B, D).T @ rows
+        grads.u_zr[k] = ws.copy("h_rows", h_prev[:, k]).reshape(-1, H).T @ later[:, :2 * H]
+        grads.u_c[k] = ws.copy("h_rows", rh[1:, k]).reshape(-1, H).T @ later[:, 2 * H:]
         grads.b[k] = rows.sum(axis=0)
         np.matmul(rows, layer.wx[k].T, out=d_x[k])
     return grads, d_x.reshape(n, T, B, D)
@@ -392,9 +447,12 @@ class ForwardCache:
     probs: np.ndarray          # (B, 2)
     feat: np.ndarray           # (B, feature_dim)
     layer_caches: list[_ScanCache] | None  # None: inference only, or consumed by backward_batch
+    workspace: Workspace | None = None  # holds layer_caches' arrays
+    generation: int = 0        # the workspace's generation that wrote them
 
 
-def forward_batch(model: GruModel, windows: np.ndarray, need_cache: bool = True) -> tuple[np.ndarray, ForwardCache]:
+def forward_batch(model: GruModel, windows: np.ndarray, need_cache: bool = True, *,
+                  workspace: Workspace | None = None) -> tuple[np.ndarray, ForwardCache]:
     """Run a batch of windows through the network.
 
     ``windows`` has shape (batch, window_size, input_channels). Returns
@@ -402,6 +460,11 @@ def forward_batch(model: GruModel, windows: np.ndarray, need_cache: bool = True)
     cache. With ``need_cache=True`` the cache holds the activations that
     :func:`backward_batch` needs; with ``need_cache=False`` (inference)
     it keeps only ``probs`` and ``feat``, and ``backward_batch`` rejects it.
+
+    The large arrays live in ``workspace``, a fresh one when none is
+    given. A later call on the same workspace overwrites them, so
+    ``backward_batch`` rejects every earlier cache from it; ``probs`` and
+    ``feat`` are the caller's own.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 3:
@@ -412,20 +475,28 @@ def forward_batch(model: GruModel, windows: np.ndarray, need_cache: bool = True)
             f"expected (*, {spec.window_size}, {spec.input_channels}) windows, "
             f"got {windows.shape}"
         )
+    ws = Workspace() if workspace is None else workspace
+    ws.generation += 1
     seq = windows.transpose(1, 0, 2)  # time-major
     layer_caches: list[_ScanCache] = []
     top = len(model.layers) - 1
     for li, layer in enumerate(model.layers):
-        cache = _scan(seq, layer, need_cache)
-        if need_cache:
-            layer_caches.append(cache)
+        # backward_batch reads every layer's activations; inference needs a
+        # layer's states only until the next layer's input is built, so all
+        # its layers share one slot
+        slot = li if need_cache else 0
+        cache = _scan(seq, layer, ws, need_cache, slot)
+        layer_caches.append(cache)
         if li < top:  # the top layer's sequence is never read, only its final states
-            seq = np.concatenate(_time_aligned(cache.hs.swapaxes(0, 1)), axis=-1)
-            del cache  # inference: frees the states before the next scan
-    feat = cache.hs[-1].swapaxes(0, 1).reshape(len(windows), -1)
+            T, n, B, H = cache.hs.shape
+            seq = np.concatenate(_time_aligned(cache.hs.swapaxes(0, 1)), axis=-1,
+                                 out=ws.take(f"seq{slot + 1}", (T, B, n * H)))
+    feat = np.concatenate(list(cache.hs[-1]), axis=-1)  # per row [fwd|bwd], a copy
     probs = softmax(feat @ model.head.w + model.head.b)
-    return probs, ForwardCache(probs=probs, feat=feat,
-                               layer_caches=layer_caches if need_cache else None)
+    if not need_cache:
+        return probs, ForwardCache(probs=probs, feat=feat, layer_caches=None)
+    return probs, ForwardCache(probs=probs, feat=feat, layer_caches=layer_caches,
+                               workspace=ws, generation=ws.generation)
 
 
 def batch_loss(probs: np.ndarray, targets: np.ndarray) -> float:
@@ -438,7 +509,8 @@ def backward_batch(model: GruModel, cache: ForwardCache, targets: np.ndarray) ->
     """Gradients of the mean cross-entropy over the batch, by parameter name.
 
     Consumes ``cache``: the backward pass reuses its buffers, so a second
-    call with the same cache raises NoActivationCache.
+    call with the same cache raises NoActivationCache, as does a cache
+    whose workspace a later forward_batch reused.
     """
     layer_caches, cache.layer_caches = cache.layer_caches, None
     if layer_caches is None:
@@ -446,6 +518,12 @@ def backward_batch(model: GruModel, cache: ForwardCache, targets: np.ndarray) ->
             "backward_batch needs the activations of forward_batch(need_cache=True); "
             "this cache was made with need_cache=False or was already consumed by "
             "backward_batch"
+        )
+    ws = cache.workspace
+    if cache.generation != ws.generation:
+        raise NoActivationCache(
+            "this cache is stale: a later forward_batch reused its workspace and "
+            "overwrote its activations"
         )
     targets = np.asarray(targets, dtype=int)
     B = cache.probs.shape[0]
@@ -460,14 +538,19 @@ def backward_batch(model: GruModel, cache: ForwardCache, targets: np.ndarray) ->
 
     # the head reads each direction's final state, the last in processing order
     n = model.spec.n_dir
-    d_hs = np.zeros(layer_caches[-1].hs.shape)
+    d_hs = ws.take("d_hs", layer_caches[-1].hs.shape)
+    d_hs[:-1] = 0.0
     d_hs[-1] = d_feat.reshape(B, n, -1).swapaxes(0, 1)
     for li in range(len(model.layers) - 1, -1, -1):
-        g, d_x = _scan_backward(model.layers[li], layer_caches[li], d_hs)
+        g, d_x = _scan_backward(model.layers[li], layer_caches[li], d_hs, ws)
         grads.update(g.named(li))
         if li > 0:  # split the gradient w.r.t. the lower layer's output by direction
-            d_seq = np.sum(_time_aligned(d_x), axis=0)
-            d_hs = np.stack(_time_aligned(np.split(d_seq, n, axis=-1)), axis=1)
+            first, *rest = _time_aligned(d_x)
+            d_seq = ws.copy("d_seq", first)
+            for part in rest:
+                d_seq += part
+            d_hs = np.stack(_time_aligned(np.split(d_seq, n, axis=-1)), axis=1,
+                            out=ws.take("d_hs", layer_caches[li - 1].hs.shape))
     return grads
 
 

@@ -33,6 +33,7 @@ from .nn import (
     GruLayer,
     GruModel,
     ModelSpec,
+    Workspace,
     adadelta_update,
     backward_batch,
     batch_loss,
@@ -139,7 +140,9 @@ def fit(split: SplitDataset, spec: ModelSpec, cfg: TrainConfig,
     and every epoch's shuffle. Numpy's OpenBLAS is held to one thread while
     training (:func:`nn.one_blas_thread`), because its sums over rows round
     differently at another thread count; so the trained weights do not
-    depend on it. Raises
+    depend on it. Every batch's forward pass and BPTT run in one
+    :class:`nn.Workspace`, so after the first batch of full size they
+    allocate no large array. Raises
     NonFiniteLoss if the loss diverges; the exception carries the model as
     of the last completed epoch.
     """
@@ -167,11 +170,12 @@ def fit(split: SplitDataset, spec: ModelSpec, cfg: TrainConfig,
     )
     rng = np.random.default_rng(cfg.seed)
     last_good = model.copy()
+    workspace = Workspace()
     with one_blas_thread():
         for _ in range(cfg.epochs):
             total, count = 0.0, 0
             for inputs, labels in iter_batches(ws, cfg.batch_size, rng):
-                probs, cache = forward_batch(model, inputs)
+                probs, cache = forward_batch(model, inputs, workspace=workspace)
                 loss = batch_loss(probs, labels)
                 if not np.isfinite(loss):
                     raise NonFiniteLoss(

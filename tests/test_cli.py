@@ -296,7 +296,16 @@ class TestSpaceFile:
          "unknown dimension [gru_unit]"),
         ("[gru_units]\nkind = real\nlower = 4\nupper = 8\n",
          "[gru_units] must have kind integer, not real"),
-    ], ids=["misspelt", "real-units"])
+        ("[learning_rate]\nkind = foo\nlower = 0.1\nupper = 1\n",
+         "[learning_rate]: unknown kind 'foo'"),
+        ("[learning_rate]\nkind = log-real\nlower = 1\nupper = 0.1\n",
+         "[learning_rate]: lower must be < upper"),
+        ("[gru_units]\nkind = integer\nlower = 4.5\nupper = 8\n",
+         "[gru_units]: integer bounds must be integral"),
+        ("[learning_rate]\nkind = log-real\nlower = 0\nupper = 1\n",
+         "[learning_rate]: log-real bounds must be positive"),
+    ], ids=["misspelt", "real-units", "bad-kind", "inverted-bounds",
+            "non-integral-integer-bounds", "non-positive-log-real-bound"])
     def test_space_the_trial_cannot_train_exits_2(self, pipeline, tmp_path,
                                                   monkeypatch, capsys, text,
                                                   named):

@@ -133,7 +133,7 @@ class TestForward:
         for bidir in (False, True):
             spec = nn.ModelSpec(1, [7], bidirectional=bidir, window_size=9)
             layer = nn.init_params(spec, seed=5).layers[0]
-            cache = nn._scan(x.transpose(1, 0, 2), layer, need_cache=True)
+            cache = nn._scan(x.transpose(1, 0, 2), layer, nn.Workspace(), need_cache=True)
             for k in range(layer.n_dir):
                 for b in range(3):
                     h = np.zeros(7)
@@ -371,6 +371,54 @@ class TestGradients:
         assert np.all(np.isfinite(p))
         assert_allclose(p.sum(), 1.0, atol=1e-12)
         assert_allclose(p, nn.softmax(np.array([0.0, 1.0])), atol=1e-12)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("need_cache", [True, False], ids=["training", "inference"])
+    def test_cache_stale_after_workspace_reused(self, need_cache):
+        spec = nn.ModelSpec(2, [5, 4], bidirectional=True, window_size=6)
+        model = nn.init_params(spec, seed=9)
+        windows = np.random.default_rng(3).normal(size=(2, 6, 2))
+        ws = nn.Workspace()
+        _, cache = nn.forward_batch(model, windows, workspace=ws)
+        nn.forward_batch(model, windows[:1], need_cache, workspace=ws)
+        with pytest.raises(NoActivationCache, match="later forward_batch reused its workspace"):
+            nn.backward_batch(model, cache, np.array([0, 1]))
+
+    def test_inference_layers_share_one_slot(self):
+        # each layer's states are overwritten by the next layer's once its
+        # input is built; the probabilities are those of a training pass
+        rng = np.random.default_rng(12)
+        spec = nn.ModelSpec(3, [4, 7, 5], bidirectional=True, window_size=9)
+        model = nn.init_params(spec, seed=6)
+        windows = rng.normal(size=(3, 9, 2))
+        cached, _ = nn.forward_batch(model, windows)
+        inferred, _ = nn.forward_batch(model, windows, need_cache=False)
+        assert cached.tobytes() == inferred.tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        nn.ModelSpec(2, [5, 4], bidirectional=True, window_size=8),
+        nn.ModelSpec(1, [6], bidirectional=False, window_size=8),
+    ], ids=["2x(5,4)b", "1x6f"])
+    def test_reused_workspace_matches_a_fresh_one_bitwise(self, spec):
+        # a full batch, a short one in the full one's buffers, and a full
+        # one again; every buffer is filled with NaN before each reuse, so
+        # an element read before it is written would show
+        rng = np.random.default_rng(31)
+        model = nn.init_params(spec, seed=4)
+        ws = nn.Workspace()
+        for batch in (5, 3, 5):
+            windows = rng.normal(size=(batch, 8, 2))
+            targets = rng.integers(0, 2, size=batch)
+            for buf in ws._buffers.values():
+                buf.fill(np.nan)
+            probs, cache = nn.forward_batch(model, windows, workspace=ws)
+            grads = nn.backward_batch(model, cache, targets)
+            fresh_probs, fresh_cache = nn.forward_batch(model, windows)
+            fresh_grads = nn.backward_batch(model, fresh_cache, targets)
+            assert probs.tobytes() == fresh_probs.tobytes()
+            assert {n: g.tobytes() for n, g in grads.items()} == {
+                n: g.tobytes() for n, g in fresh_grads.items()}
 
 
 class TestInit:

@@ -313,6 +313,38 @@ class TestFit:
         train.save_checkpoint(model, path, optimizer=state)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_golden_fit_2x32b_checkpoint(self, tmp_path):
+        # the paper's layer shapes at batch 16, with a short last batch of
+        # 12 (60 windows): the shapes whose scan and BPTT buffers a fit
+        # reuses. Pinned, like the fits above, with numpy 2.4.6 on x86-64.
+        import hashlib
+        path = tmp_path / "model.ckpt"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", FIT_2X32B, str(path)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "4b76a86ac301e418cde125df8b27881180d5bde03b4b458c9312fdc6ee17a134")
+
+    def test_no_workspace_buffer_allocated_after_the_first_epoch(self, monkeypatch):
+        # 21 windows at batch 8: two full batches and a short one per epoch
+        seen = []
+        real = train.forward_batch
+
+        def spy(model, windows, *args, workspace, **kwargs):
+            seen.append((workspace, workspace.allocations))
+            return real(model, windows, *args, workspace=workspace, **kwargs)
+
+        monkeypatch.setattr(train, "forward_batch", spy)
+        c = cfg(window_size=60, epochs=3, stride=20, positive_horizon=80, batch_size=8)
+        _, _, history = train.fit(tiny_split(), nn.ModelSpec(2, [5, 4], True, 60), c)
+        assert history.n_windows == 21 and len(seen) == 9
+        ws = seen[0][0]
+        assert all(w is ws for w, _ in seen)
+        # counted before the first batch of epoch 2, after all of epoch 1
+        assert seen[3][1] == ws.allocations > 0
+
     def test_no_leakage_from_test_series(self):
         split = tiny_split()
         ws = train.build_window_set(split.train,
