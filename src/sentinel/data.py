@@ -226,27 +226,38 @@ def _check_grid(rec: RawRecording, rate_hz: float) -> None:
             )
 
 
+def format_column(values) -> list[str]:
+    """Each value's shortest round-trip text, the text ``repr(float)``
+    gives it."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def csv_text(header: str, columns: list[list[str]]) -> str:
+    """``header`` and one row per position of the equal-length text
+    ``columns``, cells joined by commas and unquoted; every line ends in
+    ``"\\r\\n"``, as ``csv.writer`` ends it."""
+    return "\r\n".join([header, *map(",".join, zip(*columns))]) + "\r\n"
+
+
 def write_recording(rec: RawRecording, path: str | Path) -> None:
     """Write a recording back to the CSV format ``load_recording`` reads.
 
-    Values use shortest round-trip float formatting, so a write/load
-    round trip is exact.
+    There is one row per timestamp of any channel, in increasing time; a
+    channel without a sample there has an empty cell. Values are written as
+    their ``repr`` text, so a write/load round trip is exact.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    by_time: dict[float, dict[str, float]] = {}
-    for name, samples in rec.channels.items():
-        for t, v in samples.tolist():
-            by_time.setdefault(t, {})[name] = v
+    times = np.unique(np.concatenate(
+        [np.empty(0), *(samples[:, 0] for samples in rec.channels.values())]))
+    columns = [format_column(times)]
+    for name in CHANNEL_NAMES:
+        samples = rec.channels.get(name, np.empty((0, 2)))
+        cells = np.full(len(times), "", dtype=object)
+        cells[np.searchsorted(times, samples[:, 0])] = format_column(samples[:, 1])
+        columns.append(cells.tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "mBP", "HR"])
-        for t in sorted(by_time):
-            row = [repr(t)]
-            for c in CHANNEL_NAMES:
-                v = by_time[t].get(c)
-                row.append("" if v is None else repr(v))
-            writer.writerow(row)
+        fh.write(csv_text("time_s,mBP,HR", columns))
 
 
 def read_manifest(path: str | Path) -> dict[str, tuple[Label, float | None]]:

@@ -13,6 +13,7 @@ silently. All operations are pure; balancing and splitting are seeded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,9 @@ from .data import (
     DatasetCatalog,
     Label,
     RawRecording,
+    csv_text,
     find_conflicts,
+    format_column,
     grid_position,
 )
 from .errors import (
@@ -460,51 +463,47 @@ def save_clean_series(series: CleanSeries, path: str | Path) -> None:
         key = name.lower()
         lines.append(f"# norm_min_{key}={lo!r}")
         lines.append(f"# norm_max_{key}={hi!r}")
-    # the column header and the rows end in "\r\n", as csv.writer ends them
-    header = "".join(f"{line}\n" for line in lines) + "mbp,hr\r\n"
-    rows = map("{!r},{!r}\r\n".format,
-               np.asarray(series.mbp, dtype=float).tolist(),
-               np.asarray(series.hr, dtype=float).tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(header + "".join(rows))
+        fh.write("".join(f"{line}\n" for line in lines)
+                 + csv_text("mbp,hr", [format_column(series.mbp), format_column(series.hr)]))
 
 
 def load_clean_series(path: str | Path) -> CleanSeries:
-    """Inverse of :func:`save_clean_series`; exact value round trip."""
+    """Inverse of :func:`save_clean_series`; exact value round trip.
+
+    Blank lines are skipped and a ``#`` line anywhere is a ``key=value``
+    header entry. The first other line must be the ``mbp,hr`` column header
+    and each one after it a row of two finite numbers.
+    """
     path = Path(path)
-    meta: dict[str, str] = {}
-    values: list[float] = []  # mbp, hr, mbp, hr, ...
     with open(path, newline="", encoding="utf-8") as fh:
-        header_seen = False
-        for raw_line in fh:
-            line = raw_line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line.lstrip("# ").partition("=")
-                meta[key.strip()] = value.strip()
-                continue
-            if not header_seen:
-                if line.replace(" ", "") != "mbp,hr":
-                    raise ParseError(f"{path}: expected 'mbp,hr' column header")
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"{path}: bad row {line!r}")
-            values += map(float, parts)
+        lines = list(filter(None, map(str.strip, fh)))
+    meta: dict[str, str] = {}
+    for line in [line for line in lines if line[0] == "#"]:
+        key, _, value = line.lstrip("# ").partition("=")
+        meta[key.strip()] = value.strip()
+    rows = [line for line in lines if line[0] != "#"]
+    if rows and rows.pop(0).replace(" ", "") != "mbp,hr":
+        raise ParseError(f"{path}: expected 'mbp,hr' column header")
+    fields = list(map(str.split, rows, repeat(",")))
+    # the rows before the first one without two fields convert in file
+    # order, so a bad number among them is reported before that row
+    n = next((r for r, cells in enumerate(fields) if len(cells) != 2), len(fields))
+    values = np.fromiter(map(float, chain.from_iterable(fields[:n])), dtype=float)
+    if n < len(fields):
+        raise ParseError(f"{path}: bad row {rows[n]!r}")
     required = {"id", "label", "rate_hz", "norm_min_mbp", "norm_max_mbp",
                 "norm_min_hr", "norm_max_hr"}
     missing = required - meta.keys()
     if missing:
         raise ParseError(f"{path}: missing header keys {sorted(missing)}")
-    if not values:
+    if not values.size:
         raise ParseError(f"{path}: no samples")
-    return CleanSeries(
+    series = CleanSeries(
         id=meta["id"],
         label=Label(meta["label"]),
-        mbp=np.array(values[0::2]),
-        hr=np.array(values[1::2]),
+        mbp=values[0::2].copy(),
+        hr=values[1::2].copy(),
         marker_index=int(meta["marker_index"]) if "marker_index" in meta else None,
         rate_hz=float(meta["rate_hz"]),
         norm_params={
@@ -512,6 +511,12 @@ def load_clean_series(path: str | Path) -> CleanSeries:
             "HR": (float(meta["norm_min_hr"]), float(meta["norm_max_hr"])),
         },
     )
+    # checked last, so a file refused for another reason keeps that message
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        k = int(bad[0]) // 2
+        raise ParseError(f"{path}: sample {k}: non-finite value in row {rows[k]!r}")
+    return series
 
 
 def load_clean_dir(directory: str | Path) -> list[CleanSeries]:

@@ -10,19 +10,30 @@ import numpy as np
 import pytest
 
 from sentinel import cli, hpo, nn, train
-from sentinel.data import Label
-from sentinel.preprocess import CleanSeries, SplitDataset
+from sentinel.data import DEFAULT_RATE_HZ, Label, load_recording, write_recording
+from sentinel.preprocess import (
+    CleanSeries,
+    SplitDataset,
+    fill_gaps,
+    load_clean_series,
+    save_clean_series,
+)
+from sentinel.synth import SynthConfig, generate_series
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def layers():
+def benchmark_module(name):
     sys.path.insert(0, str(PERFBENCH))
     try:
-        yield importlib.import_module("layers")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+@pytest.fixture(scope="module")
+def layers():
+    return benchmark_module("layers")
 
 
 def test_every_wrapped_name_resolves(layers):
@@ -31,6 +42,38 @@ def test_every_wrapped_name_resolves(layers):
     assert missing == []
     # patched on its own, so that a trial's time is a span of its own
     assert cli.make_pipeline_objective is hpo.make_pipeline_objective
+
+
+def test_benchmark_readers_agree_with_the_program_readers(tmp_path):
+    # the `ingest` check reads the raw and cleaned files with readers of its
+    # own, so a format slip in either writer must fail here first
+    checks = benchmark_module("checks")
+    cfg = SynthConfig(length_range=(900, 900), onset_lead=100, gap_probability=0.02,
+                      spike_probability=0.01, seed=3)
+    rec, _ = generate_series(cfg, Label.SYNCOPE, "syn000", np.random.default_rng(3))
+    assert all(len(samples) < 900 for samples in rec.channels.values())
+    raw_path = tmp_path / "syncope" / "syn000.csv"
+    write_recording(rec, raw_path)
+    loaded = load_recording(raw_path)
+    assert checks.read_raw_recording(raw_path, DEFAULT_RATE_HZ) == {
+        c: {round(t * DEFAULT_RATE_HZ): v for t, v in loaded.channels[c].tolist()}
+        for c in checks.CHANNELS}
+
+    series = fill_gaps(rec)
+    assert series.marker_index is not None
+    series.norm_params = {"mBP": (61.25, 112.5), "HR": (48.0, 99.75)}
+    clean_path = tmp_path / "clean" / "syn000.csv"
+    save_clean_series(series, clean_path)
+    back, theirs = load_clean_series(clean_path), checks.read_clean_series(clean_path)
+    assert theirs["mBP"].tolist() == back.mbp.tolist()
+    assert theirs["HR"].tolist() == back.hr.tolist()
+    meta = theirs["meta"]
+    assert (meta["id"], meta["label"]) == (back.id, back.label.value)
+    assert (float(meta["rate_hz"]), int(meta["marker_index"])) == (
+        back.rate_hz, back.marker_index)
+    assert {name: (float(meta[f"norm_min_{name.lower()}"]),
+                   float(meta[f"norm_max_{name.lower()}"]))
+            for name in back.norm_params} == back.norm_params
 
 
 def test_benchmark_space_loads():

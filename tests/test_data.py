@@ -2,6 +2,7 @@
 duplicate detection."""
 
 import csv
+import hashlib
 import time
 
 import numpy as np
@@ -303,6 +304,79 @@ class TestRoundTrip:
         back = load_recording(path, label=Label.SYNCOPE)
         assert ({k: v.tolist() for k, v in back.channels.items()}
                 == {k: v.tolist() for k, v in rec.channels.items()})
+
+    @staticmethod
+    def staggered():
+        # mBP starts first, HR ends last, interior gaps in each; values
+        # whose shortest text has an exponent go through the writer too
+        rng = np.random.default_rng(11)
+        mbp = np.column_stack((np.arange(0, 30) * DT, rng.normal(85, 7, 30)))
+        hr = np.column_stack((np.arange(4, 38) * DT, rng.normal(70, 5, 34)))
+        mbp[3, 1], hr[7, 1] = 1e16, 2.5e-05
+        return {"mBP": np.delete(mbp, [5, 6, 7, 19], axis=0),
+                "HR": np.delete(hr, [2, 11, 12, 30], axis=0)}
+
+    @staticmethod
+    def hr_only():
+        rng = np.random.default_rng(12)
+        return {"HR": np.column_stack((np.arange(3, 15) * DT,
+                                       rng.normal(70, 5, 12)))}
+
+    @staticmethod
+    def one_row():
+        # a single mBP sample at a time where HR has a gap
+        rng = np.random.default_rng(13)
+        hr = np.column_stack((np.arange(10) * DT, rng.normal(70, 5, 10)))
+        return {"mBP": np.array([[4 * DT, 88.125]]),
+                "HR": np.delete(hr, 4, axis=0)}
+
+    @pytest.mark.parametrize("make, digest", [
+        (staggered, "d0708cff0fe8cabda50ea1b2cc8256df0f7242758c0ac409bfd2558a1731017e"),
+        (hr_only, "1bd83647402646e086274d6838caccf2b98476607f3f20f07dff0b407bbdd27c"),
+        (one_row, "f7880b8655276984748c00956fda5e1bc8d4334c6e348d93541c36c648b798cc"),
+    ], ids=["staggered-with-gaps", "one-channel", "one-row-channel"])
+    def test_written_bytes_pinned(self, tmp_path, make, digest):
+        # one row per timestamp of any channel, an empty cell for an absent
+        # sample, repr text for every value and "\r\n" row ends, pinned
+        rec = RawRecording(id="pin", label=Label.SYNCOPE, channels=make())
+        path = tmp_path / "pin.csv"
+        write_recording(rec, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        back = load_recording(path, label=Label.SYNCOPE)
+        assert ({k: v.tolist() for k, v in back.channels.items()}
+                == {k: v.tolist() for k, v in rec.channels.items()})
+
+    @staticmethod
+    def write_row_by_row(rec, path):
+        """Reference writer: a dict of rows per timestamp through csv.writer."""
+        by_time = {}
+        for name, samples in rec.channels.items():
+            for t, v in samples.tolist():
+                by_time.setdefault(t, {})[name] = v
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["time_s", "mBP", "HR"])
+            for t in sorted(by_time):
+                writer.writerow([repr(t)] + ["" if by_time[t].get(c) is None
+                                             else repr(by_time[t][c])
+                                             for c in CHANNEL_NAMES])
+
+    def test_same_bytes_as_a_row_by_row_writer(self, tmp_path):
+        # random spans, gaps and scales; an extra channel adds rows of its own
+        rng = np.random.default_rng(17)
+        for trial in range(40):
+            channels = {}
+            for name in rng.permutation(["mBP", "HR", "SpO2"])[:rng.integers(1, 4)]:
+                n = int(rng.choice([1, 2, 30, 200]))
+                k = np.sort(rng.choice(np.arange(50, 50 + 2 * n), n, replace=False))
+                k -= int(rng.integers(0, 50))
+                channels[str(name)] = np.column_stack(
+                    (k * DT, rng.normal(80, 20, n) * 10.0 ** rng.integers(-8, 18)))
+            rec = RawRecording(id="r", label=Label.SYNCOPE, channels=channels)
+            write_recording(rec, tmp_path / "new.csv")
+            self.write_row_by_row(rec, tmp_path / "ref.csv")
+            assert ((tmp_path / "new.csv").read_bytes()
+                    == (tmp_path / "ref.csv").read_bytes()), trial
 
     def test_manifest_round_trip(self, tmp_path):
         entries = {

@@ -19,6 +19,7 @@ from sentinel.errors import (
     DegenerateSignal,
     EmptyChannel,
     EmptyDataset,
+    ParseError,
     TooFewSeries,
 )
 from sentinel.preprocess import (
@@ -568,3 +569,62 @@ class TestCleanPersistence:
         empty.mkdir()
         with pytest.raises(EmptyDataset):
             load_clean_dir(empty)
+
+
+CLEAN_HEAD = ("# id=c01\n# label=syncope\n# rate_hz=1.25\n"
+              "# norm_min_mbp=60.0\n# norm_max_mbp=110.0\n"
+              "# norm_min_hr=50.0\n# norm_max_hr=120.0\n")
+
+
+class TestLoadCleanSeriesMessages:
+    """What the cleaned-series reader accepts, and the exact texts of what
+    it rejects."""
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "c01.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+
+    def error(self, path):
+        with pytest.raises(ParseError) as info:
+            load_clean_series(path)
+        return str(info.value)
+
+    def test_column_header_other_than_mbp_hr(self, tmp_path):
+        path = self.write(tmp_path, CLEAN_HEAD + "hr,mbp\r\n0.5,0.25\r\n")
+        assert self.error(path) == f"{path}: expected 'mbp,hr' column header"
+
+    @pytest.mark.parametrize("row", ["0.5", "0.5,0.25,0.125"])
+    def test_row_of_one_or_three_fields(self, tmp_path, row):
+        path = self.write(tmp_path, CLEAN_HEAD + f"mbp,hr\r\n0.5,0.25\r\n{row}\r\n")
+        assert self.error(path) == f"{path}: bad row {row!r}"
+
+    def test_missing_header_key(self, tmp_path):
+        head = CLEAN_HEAD.replace("# norm_max_hr=120.0\n", "")
+        path = self.write(tmp_path, head + "mbp,hr\r\n0.5,0.25\r\n")
+        assert self.error(path) == f"{path}: missing header keys ['norm_max_hr']"
+
+    def test_file_with_no_rows(self, tmp_path):
+        path = self.write(tmp_path, CLEAN_HEAD + "mbp,hr\r\n")
+        assert self.error(path) == f"{path}: no samples"
+        empty = self.write(tmp_path, "")
+        assert self.error(empty) == (
+            f"{empty}: missing header keys ['id', 'label', 'norm_max_hr', "
+            "'norm_max_mbp', 'norm_min_hr', 'norm_min_mbp', 'rate_hz']")
+
+    def test_blank_lines_comment_rows_and_newline_ends(self, tmp_path):
+        # a "#" line among the rows is read as a header key
+        path = self.write(tmp_path, CLEAN_HEAD + "\nmbp, hr\n0.5,-0.25\n\n"
+                          "# marker_index=1\n  \n-1.0 , 1.0\n")
+        series = load_clean_series(path)
+        assert series.mbp.tolist() == [0.5, -1.0]
+        assert series.hr.tolist() == [-0.25, 1.0]
+        assert series.marker_index == 1
+        assert series.norm_params == {"mBP": (60.0, 110.0), "HR": (50.0, 120.0)}
+
+    @pytest.mark.parametrize("row", ["nan,0.1", "inf,-inf", "0.1,-inf"])
+    def test_non_finite_value(self, tmp_path, row):
+        # a NaN probability never alarms, so the reader refuses the file and
+        # names the sample by its index in the series
+        path = self.write(tmp_path, CLEAN_HEAD + f"mbp,hr\r\n0.5,0.25\r\n\r\n{row}\r\n")
+        assert self.error(path) == f"{path}: sample 1: non-finite value in row {row!r}"
