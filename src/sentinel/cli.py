@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import inspect
 import json
 import logging
@@ -32,7 +31,7 @@ from pathlib import Path
 from typing import get_args
 
 from . import __version__
-from .data import scan_dataset
+from .data import scan_dataset, write_table
 from .errors import (
     AllTrialsFailed,
     ConfigError,
@@ -439,10 +438,7 @@ def _cmd_preprocess(config: RunConfig, out: Path, log) -> list[str]:
             rel = Path("clean") / side / f"{series.id}.csv"
             save_clean_series(series, out / rel)
             written.append(rel.as_posix())
-    with open(out / "drop_report.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "series_id", "reason"])
-        writer.writerows(drop_report.drops)
+    write_table(out / "drop_report.csv", ["stage", "series_id", "reason"], drop_report.drops)
     written.append("drop_report.csv")
     log.info("kept %d train / %d test series; dropped %d",
              len(split.train), len(split.test), len(drop_report.drops))

@@ -280,12 +280,19 @@ def read_manifest(path: str | Path) -> dict[str, tuple[Label, float | None]]:
 
 
 def write_manifest(path: str | Path, entries: dict[str, tuple[Label, float | None]]) -> None:
+    write_table(path, ["id", "label", "marker_s"],
+                ([rid, lab.value, marker] for rid, (lab, marker) in sorted(entries.items())))
+
+
+def write_table(path: str | Path, header: list[str], rows) -> None:
+    """Write a result table: ``header``, then each of ``rows``, through
+    ``csv.writer`` in UTF-8 with ``"\\r\\n"`` line ends. Cells go in as they
+    are, so ``None`` is an empty cell, a float (numpy's too) its shortest
+    round-trip text, and only a cell that needs quotes gets them."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", "label", "marker_s"])
-        for rid in sorted(entries):
-            lab, marker = entries[rid]
-            writer.writerow([rid, lab.value, "" if marker is None else repr(marker)])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def scan_dataset(directory: str | Path, rate_hz: float = DEFAULT_RATE_HZ) -> DatasetCatalog:

@@ -13,7 +13,6 @@ detector never fires) are reported as absent values — never coerced to
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Label
+from .data import Label, write_table
 from .errors import (
     ConfigError,
     EmptyEvaluation,
@@ -292,9 +291,9 @@ def threshold_sweep(model: GruModel, series_list: list[CleanSeries],
                     thresholds: list[float], consecutive: int = 1,
                     beta: float = 1.0) -> list[EvalReport]:
     """Evaluate the same data at each threshold, reusing probability traces."""
-    if not thresholds:
-        raise ConfigError("thresholds list is empty")
     arr = list(thresholds)
+    if not arr:
+        raise ConfigError("thresholds list is empty")
     for t in arr:
         _check_rule(t, consecutive)
     if any(b <= a for a, b in zip(arr, arr[1:])):
@@ -312,21 +311,10 @@ def default_threshold_grid() -> list[float]:
 # --- report persistence ----------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_report_csv(report: EvalReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["series_id", "label", "detected", "detection_index", "reaction_s"])
-        for o in report.per_series:
-            w.writerow([o.id, o.label.value, int(o.detected),
-                        _fmt(o.detection_index), _fmt(o.reaction_seconds)])
+    write_table(path, ["series_id", "label", "detected", "detection_index", "reaction_s"],
+                ([o.id, o.label.value, int(o.detected), o.detection_index, o.reaction_seconds]
+                 for o in report.per_series))
 
 
 def report_summary(report: EvalReport) -> dict:
@@ -352,13 +340,7 @@ def write_report_json(report: EvalReport, path) -> None:
 
 
 def write_sweep_csv(reports: list[EvalReport], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["threshold", "recall", "precision", "f_beta", "accuracy",
-                    "median_reaction_s", "detections"])
-        for r in reports:
-            w.writerow([
-                _fmt(r.threshold), _fmt(r.recall), _fmt(r.precision),
-                _fmt(r.f_beta), _fmt(r.accuracy), _fmt(median_reaction(r)),
-                r.confusion.tp + r.confusion.fp,
-            ])
+    write_table(path, ["threshold", "recall", "precision", "f_beta", "accuracy",
+                       "median_reaction_s", "detections"],
+                ([r.threshold, r.recall, r.precision, r.f_beta, r.accuracy,
+                  median_reaction(r), r.confusion.tp + r.confusion.fp] for r in reports))

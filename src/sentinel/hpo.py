@@ -21,6 +21,7 @@ split carved from the training data (never the test set).
 
 from __future__ import annotations
 
+import csv
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -31,6 +32,7 @@ from scipy.linalg import lapack
 from scipy.stats import norm, qmc
 
 from . import evaluate, train
+from .data import write_table
 from .errors import AllTrialsFailed, ConfigError, ConfigInvalid, DegenerateSurrogate
 from .nn import ModelSpec
 from .preprocess import check_fraction, split_train_test
@@ -511,26 +513,15 @@ def partial_dependence(surr: Surrogate, dims: list[int], grid: int = 20) -> Part
 
 
 def write_trials_csv(trials: list[HpoTrial], space: SearchSpace, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["trial", *space.names, "objective", "status"])
-        for i, t in enumerate(trials):
-            row = [i]
-            for name in space.names:
-                v = t.params[name]
-                row.append(repr(v) if isinstance(v, float) else v)
-            row.extend([repr(t.objective), t.status])
-            w.writerow(row)
+    write_table(path, ["trial", *space.names, "objective", "status"],
+                ([i, *(t.params[name] for name in space.names), t.objective, t.status]
+                 for i, t in enumerate(trials)))
 
 
 def read_trials_csv(path, space: SearchSpace) -> list[HpoTrial]:
     """Read a trials log of ``space``. A log comes from outside the program,
     so a missing column, a bad value, a point outside ``space`` or an unknown
     status raises ConfigInvalid naming the file, the row and the cause."""
-    import csv
-
     columns = [(d.name, int if d.kind == "integer" else float)
                for d in space.dimensions] + [("objective", float)]
     trials = []
@@ -564,11 +555,6 @@ def read_trials_csv(path, space: SearchSpace) -> list[HpoTrial]:
 
 
 def write_pd_csv(pd: PartialDependence, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([*pd.dim_names, "mean_objective"])
-        for idx in np.ndindex(pd.values.shape):
-            w.writerow([*(repr(float(vals[g])) for vals, g in zip(pd.grids, idx)),
-                        repr(float(pd.values[idx]))])
+    write_table(path, [*pd.dim_names, "mean_objective"],
+                ([*(float(vals[g]) for vals, g in zip(pd.grids, idx)), pd.values[idx]]
+                 for idx in np.ndindex(pd.values.shape)))

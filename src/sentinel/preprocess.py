@@ -476,8 +476,11 @@ def load_clean_series(path: str | Path) -> CleanSeries:
     and each one after it a row of two finite numbers.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = list(filter(None, map(str.strip, fh)))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = list(filter(None, map(str.strip, fh)))
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
     meta: dict[str, str] = {}
     for line in [line for line in lines if line[0] == "#"]:
         key, _, value = line.lstrip("# ").partition("=")
@@ -489,7 +492,14 @@ def load_clean_series(path: str | Path) -> CleanSeries:
     # the rows before the first one without two fields convert in file
     # order, so a bad number among them is reported before that row
     n = next((r for r, cells in enumerate(fields) if len(cells) != 2), len(fields))
-    values = np.fromiter(map(float, chain.from_iterable(fields[:n])), dtype=float)
+    try:
+        values = np.fromiter(map(float, chain.from_iterable(fields[:n])), dtype=float)
+    except ValueError:
+        for k, cells in enumerate(fields):
+            try:
+                list(map(float, cells))
+            except ValueError:
+                raise ParseError(f"{path}: sample {k}: bad number in row {rows[k]!r}") from None
     if n < len(fields):
         raise ParseError(f"{path}: bad row {rows[n]!r}")
     required = {"id", "label", "rate_hz", "norm_min_mbp", "norm_max_mbp",
@@ -499,16 +509,23 @@ def load_clean_series(path: str | Path) -> CleanSeries:
         raise ParseError(f"{path}: missing header keys {sorted(missing)}")
     if not values.size:
         raise ParseError(f"{path}: no samples")
+
+    def header(key, kind):
+        try:
+            return kind(meta[key])
+        except ValueError:
+            raise ParseError(f"{path}: bad header value {key}={meta[key]!r}") from None
+
     series = CleanSeries(
         id=meta["id"],
-        label=Label(meta["label"]),
+        label=header("label", Label),
         mbp=values[0::2].copy(),
         hr=values[1::2].copy(),
-        marker_index=int(meta["marker_index"]) if "marker_index" in meta else None,
-        rate_hz=float(meta["rate_hz"]),
+        marker_index=header("marker_index", int) if "marker_index" in meta else None,
+        rate_hz=header("rate_hz", float),
         norm_params={
-            "mBP": (float(meta["norm_min_mbp"]), float(meta["norm_max_mbp"])),
-            "HR": (float(meta["norm_min_hr"]), float(meta["norm_max_hr"])),
+            "mBP": (header("norm_min_mbp", float), header("norm_max_mbp", float)),
+            "HR": (header("norm_min_hr", float), header("norm_max_hr", float)),
         },
     )
     # checked last, so a file refused for another reason keeps that message

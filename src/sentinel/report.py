@@ -178,8 +178,11 @@ def heat_map(xs, ys, values, title, x_label, y_label) -> str:
 
 
 def _read_csv(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
     rows = [r for r in rows if r]
     if len(rows) < 2:
         return None, None

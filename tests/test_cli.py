@@ -680,6 +680,15 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o"), "--log-level", "error"])
         assert code == 3
 
+    def test_report_on_a_file_that_is_not_utf8_exits_3(self, tmp_path, capsys):
+        latin = tmp_path / "sweep.csv"
+        latin.write_bytes(b"threshold,recall\n0.5,\xe9\n")
+        code = main(["report", "--inputs", str(latin),
+                     "--out", str(tmp_path / "o"), "--log-level", "error"])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ParseError", "message": f"{latin}: not UTF-8 text"}
+
     @pytest.mark.parametrize("command, args, named", [
         ("hpo", ["--inner-fraction", "1.5"], "inner_fraction"),
         ("hpo", ["--epochs", "-1"], "epochs"),

@@ -23,6 +23,7 @@ from sentinel.errors import (
 )
 from sentinel.data import scan_dataset
 from sentinel.preprocess import CleanSeries, PreprocessConfig, preprocess_pipeline
+from sentinel.report import render_csv
 from sentinel.synth import SynthConfig, generate_dataset
 
 
@@ -651,3 +652,23 @@ class TestPersistence:
         assert rows[2][6] == "0"  # not detected above it
         assert rows[2][1] == "0.0"  # recall defined (zero)
         assert rows[2][2] == ""     # precision absent -> blank cell
+
+    def test_sweep_over_a_numpy_array(self, tmp_path, monkeypatch):
+        # numpy floats reach sweep.csv as the cells Python floats give, and
+        # the file renders
+        model = tiny_model(window=100)
+        series = [make_series("sy", Label.SYNCOPE, length=500, marker=400),
+                  make_series("no", Label.NOSYNCOPE, length=500, seed=1)]
+        ramp = np.linspace(0.0, 1.0, 401)
+        patched_eval(monkeypatch, {"sy": ramp, "no": 0.5 * ramp[::-1]})
+        grid = np.linspace(0.1, 0.9, 9)
+        paths = []
+        for thresholds in (grid, grid.tolist()):
+            paths.append(tmp_path / f"sweep{len(paths)}.csv")
+            evaluate.write_sweep_csv(
+                evaluate.threshold_sweep(model, series, thresholds), paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert paths[0].read_bytes().startswith(
+            b"threshold,recall,precision,f_beta,accuracy,median_reaction_s,detections\r\n"
+            b"0.1,")
+        assert render_csv(paths[0]) is not None

@@ -21,3 +21,21 @@ def test_no_private_cross_module_imports():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 5
     assert [hit for path in modules for hit in private_imports(path)] == []
+
+
+def csv_writers(path: Path) -> list[str]:
+    """Each use of ``csv.writer`` in a file, as ``file:line``, whether called
+    as ``csv.writer`` or imported by name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "writer"
+                and isinstance(node.value, ast.Name) and node.value.id == "csv")
+            or (isinstance(node, ast.ImportFrom) and node.module == "csv"
+                and "writer" in {alias.name for alias in node.names})]
+
+
+def test_csv_writer_only_in_data():
+    # every result table goes through data.write_table, so every table
+    # follows one cell rule
+    hits = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in csv_writers(path)]
+    assert hits and all(hit.startswith("data.py:") for hit in hits), hits

@@ -628,3 +628,26 @@ class TestLoadCleanSeriesMessages:
         # names the sample by its index in the series
         path = self.write(tmp_path, CLEAN_HEAD + f"mbp,hr\r\n0.5,0.25\r\n\r\n{row}\r\n")
         assert self.error(path) == f"{path}: sample 1: non-finite value in row {row!r}"
+
+    @pytest.mark.parametrize("row", ["0.1,abc", "abc,0.1", "0.1,", "0x1,0.1"])
+    def test_cell_that_is_not_a_number(self, tmp_path, row):
+        path = self.write(tmp_path, CLEAN_HEAD + f"mbp,hr\r\n0.5,0.25\r\n{row}\r\n")
+        assert self.error(path) == f"{path}: sample 1: bad number in row {row!r}"
+
+    def test_bad_number_reported_before_a_bad_row(self, tmp_path):
+        path = self.write(tmp_path, CLEAN_HEAD + "mbp,hr\r\n0.5,abc\r\n0.5\r\n")
+        assert self.error(path) == f"{path}: sample 0: bad number in row '0.5,abc'"
+
+    @pytest.mark.parametrize("key, value", [
+        ("label", "Syncope"), ("marker_index", "x694"), ("rate_hz", "fast"),
+        ("norm_max_mbp", ""),
+    ])
+    def test_header_value_that_does_not_parse(self, tmp_path, key, value):
+        head = CLEAN_HEAD + f"# {key}={value}\n"  # a later entry wins
+        path = self.write(tmp_path, head + "mbp,hr\r\n0.5,0.25\r\n")
+        assert self.error(path) == f"{path}: bad header value {key}={value!r}"
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "c01.csv"
+        path.write_bytes(CLEAN_HEAD.encode("utf-8") + b"mbp,hr\r\n0.5,\xff0.25\r\n")
+        assert self.error(path) == f"{path}: not UTF-8 text"
