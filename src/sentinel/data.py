@@ -120,7 +120,7 @@ def _infer_label(path: Path) -> Label:
     )
 
 
-def _parse_cell(text: str, path: Path, row_no: int, col: str) -> float | None:
+def _parse_cell(text: str, path: str | Path, row_no: int, col: str) -> float | None:
     text = text.strip()
     if not text:
         return None
@@ -136,7 +136,7 @@ def _column(fields: list[str], name: str) -> int | None:
     return max((j for j, f in enumerate(fields) if f == name), default=None)
 
 
-def _cell(row: list[str], col: int | None) -> str:
+def _cell(row: tuple[str, ...], col: int | None) -> str:
     """Text of a cell; an absent column or a short row reads as empty."""
     return row[col] if col is not None and col < len(row) else ""
 
@@ -157,43 +157,33 @@ def load_recording(
     if label is None:
         label = _infer_label(path)
 
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(f"{path}: empty file")
-            fields = [f.strip() for f in header]
-            if "time_s" not in fields:
-                raise ParseError(f"{path}: missing time_s column")
-            present = [c for c in CHANNEL_NAMES if c in fields]
-            if not present:
-                raise MissingChannel(f"{path}: neither mBP nor HR present")
+    fields, rows = read_table(path)
+    if not fields:
+        raise ParseError(f"{path}: empty file")
+    if "time_s" not in fields:
+        raise ParseError(f"{path}: missing time_s column")
+    present = [c for c in CHANNEL_NAMES if c in fields]
+    if not present:
+        raise MissingChannel(f"{path}: neither mBP nor HR present")
 
-            time_col = _column(fields, "time_s")
-            columns = [(c, _column(fields, c), [], []) for c in present]
-            row_no = 1
-            for row in reader:
-                if not row:  # blank lines are skipped and not counted
+    time_col = _column(fields, "time_s")
+    columns = [(c, _column(fields, c), [], []) for c in present]
+    for row_no, row in enumerate(rows, start=2):
+        try:
+            t = float(row[time_col])
+        except (ValueError, IndexError, TypeError):
+            t = _parse_cell(_cell(row, time_col), path, row_no, "time_s")
+            if t is None:
+                raise ParseError(f"{path}: row {row_no}: empty time_s")
+        for c, col, times, values in columns:
+            try:
+                v = float(row[col])
+            except (ValueError, IndexError, TypeError):
+                v = _parse_cell(_cell(row, col), path, row_no, c)
+                if v is None:
                     continue
-                row_no += 1
-                try:
-                    t = float(row[time_col])
-                except (ValueError, IndexError, TypeError):
-                    t = _parse_cell(_cell(row, time_col), path, row_no, "time_s")
-                    if t is None:
-                        raise ParseError(f"{path}: row {row_no}: empty time_s")
-                for c, col, times, values in columns:
-                    try:
-                        v = float(row[col])
-                    except (ValueError, IndexError, TypeError):
-                        v = _parse_cell(_cell(row, col), path, row_no, c)
-                        if v is None:
-                            continue
-                    times.append(t)
-                    values.append(v)
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+            times.append(t)
+            values.append(v)
 
     channels = {c: np.column_stack((times, values))
                 for c, _, times, values in columns if times}
@@ -262,26 +252,49 @@ def write_recording(rec: RawRecording, path: str | Path) -> None:
 
 def read_manifest(path: str | Path) -> dict[str, tuple[Label, float | None]]:
     """Read ``manifest.csv`` (columns id,label,marker_s) into a lookup."""
+    header, rows = read_table(path)
     out: dict[str, tuple[Label, float | None]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row_no, row in enumerate(csv.DictReader(fh), start=2):
-            rid = (row.get("id") or "").strip()
-            if not rid:
-                raise ParseError(f"{path}: row {row_no}: empty id")
-            try:
-                lab = Label((row.get("label") or "").strip().lower())
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {row_no}: unknown label {row.get('label')!r}"
-                )
-            marker = _parse_cell(row.get("marker_s") or "", Path(path), row_no, "marker_s")
-            out[rid] = (lab, marker)
+    for row_no, cells in enumerate(rows, start=2):
+        row = dict(zip(header, cells))
+        rid = row.get("id", "").strip()
+        if not rid:
+            raise ParseError(f"{path}: row {row_no}: empty id")
+        try:
+            lab = Label(row.get("label", "").strip().lower())
+        except ValueError:
+            raise ParseError(
+                f"{path}: row {row_no}: unknown label {row.get('label')!r}"
+            )
+        marker = _parse_cell(row.get("marker_s", ""), path, row_no, "marker_s")
+        out[rid] = (lab, marker)
     return out
 
 
 def write_manifest(path: str | Path, entries: dict[str, tuple[Label, float | None]]) -> None:
     write_table(path, ["id", "label", "marker_s"],
                 ([rid, lab.value, marker] for rid, (lab, marker) in sorted(entries.items())))
+
+
+def read_table(path: str | Path) -> tuple[list[str], list[tuple[str, ...]]]:
+    """Read a table the program takes in: its header cells, stripped, and
+    its other rows, each a tuple of cells as the file holds them. The file is
+    read as UTF-8 through ``csv.reader``; blank lines are left out, so the
+    header is row 1 and the first of ``rows`` row 2. An empty file gives
+    ``([], [])``. A file that cannot be read, is not UTF-8 text or that
+    ``csv.reader`` refuses raises ParseError naming it."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = filter(None, csv.reader(fh))
+            header = next(rows, [])
+            # the collector stops tracking a tuple of strings at its first
+            # pass, so the rows of a file held at once set off no full passes
+            return [cell.strip() for cell in header], list(map(tuple, rows))
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def write_table(path: str | Path, header: list[str], rows) -> None:

@@ -21,7 +21,6 @@ split carved from the training data (never the test set).
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -32,8 +31,8 @@ from scipy.linalg import lapack
 from scipy.stats import norm, qmc
 
 from . import evaluate, train
-from .data import write_table
-from .errors import AllTrialsFailed, ConfigError, ConfigInvalid, DegenerateSurrogate
+from .data import read_table, write_table
+from .errors import AllTrialsFailed, ConfigError, ConfigInvalid, DegenerateSurrogate, ParseError
 from .nn import ModelSpec
 from .preprocess import check_fraction, split_train_test
 
@@ -167,7 +166,7 @@ def make_pipeline_objective(series, seed: int, epochs: int = 5,
                        lr_decay=p["lr_decay"])
         model, _, _ = train.fit(inner, spec, tcfg)
         result = evaluate.evaluate_dataset(model, inner.test, p["output_threshold"])
-        value = 1.0 - (result.accuracy if result.accuracy is not None else 0.0)
+        value = 1.0 - result.accuracy
         log.info("objective %.4f at %s", value, {k: params[k] for k in sorted(params)})
         return value
 
@@ -520,37 +519,38 @@ def write_trials_csv(trials: list[HpoTrial], space: SearchSpace, path) -> None:
 
 def read_trials_csv(path, space: SearchSpace) -> list[HpoTrial]:
     """Read a trials log of ``space``. A log comes from outside the program,
-    so a missing column, a bad value, a point outside ``space`` or an unknown
-    status raises ConfigInvalid naming the file, the row and the cause."""
+    so a file ``data.read_table`` refuses, a missing column, a bad value, a
+    point outside ``space`` or an unknown status raises ConfigInvalid naming
+    the file, the row and the cause."""
     columns = [(d.name, int if d.kind == "integer" else float)
                for d in space.dimensions] + [("objective", float)]
-    trials = []
     try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for name in (*space.names, "objective", "status"):
-                if name not in (reader.fieldnames or ()):
-                    raise ConfigInvalid(f"{path}: header lacks column '{name}'")
-            for row in reader:
-                where = f"{path}: row {reader.line_num}"
-                params = {}
-                for name, kind in columns:
-                    try:
-                        params[name] = kind(row[name])
-                    except (TypeError, ValueError):
-                        raise ConfigInvalid(
-                            f"{where}: bad {name} value {row[name]!r}") from None
-                objective = params.pop("objective")
-                if not space.contains(params):
-                    raise ConfigInvalid(f"{where}: {params} is outside the space")
-                if not np.isfinite(objective):
-                    raise ConfigInvalid(f"{where}: objective {objective!r}")
-                if row["status"] not in ("done", "failed"):
-                    raise ConfigInvalid(f"{where}: status {row['status']!r} "
-                                        f"is not done or failed")
-                trials.append(HpoTrial(params, objective, row["status"]))
-    except OSError as exc:
-        raise ConfigInvalid(f"cannot read trials log {path}: {exc}") from exc
+        header, rows = read_table(path)
+    except ParseError as exc:
+        raise ConfigInvalid(str(exc)) from None
+    for name in (*space.names, "objective", "status"):
+        if name not in header:
+            raise ConfigInvalid(f"{path}: header lacks column '{name}'")
+    trials = []
+    for row_no, cells in enumerate(rows, start=2):
+        row = dict(zip(header, cells))
+        where = f"{path}: row {row_no}"
+        params = {}
+        for name, kind in columns:
+            try:
+                params[name] = kind(row.get(name))
+            except (TypeError, ValueError):
+                raise ConfigInvalid(
+                    f"{where}: bad {name} value {row.get(name)!r}") from None
+        objective = params.pop("objective")
+        if not space.contains(params):
+            raise ConfigInvalid(f"{where}: {params} is outside the space")
+        if not np.isfinite(objective):
+            raise ConfigInvalid(f"{where}: objective {objective!r}")
+        status = row.get("status")
+        if status not in ("done", "failed"):
+            raise ConfigInvalid(f"{where}: status {status!r} is not done or failed")
+        trials.append(HpoTrial(params, objective, status))
     return trials
 
 

@@ -574,9 +574,9 @@ class AdadeltaState:
     edx2: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_model(cls, model: GruModel, rho: float = 0.95, epsilon: float = 1e-6,
-                  lr_multiplier: float = 1.0, lr_decay: float = 1.0) -> "AdadeltaState":
-        state = cls(rho=rho, epsilon=epsilon, lr_multiplier=lr_multiplier, lr_decay=lr_decay)
+    def for_model(cls, model: GruModel, **settings: float) -> "AdadeltaState":
+        """Zeroed averages for ``model``; ``settings`` override field defaults."""
+        state = cls(**settings)
         for name, p in model.parameters():
             state.eg2[name] = np.zeros_like(p)
             state.edx2[name] = np.zeros_like(p)

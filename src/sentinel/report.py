@@ -8,10 +8,10 @@ threshold sweeps, HPO trial logs, and partial-dependence grids.
 
 from __future__ import annotations
 
-import csv
 from html import escape
 from pathlib import Path
 
+from .data import read_table
 from .errors import ParseError
 
 WIDTH = 640
@@ -177,18 +177,6 @@ def heat_map(xs, ys, values, title, x_label, y_label) -> str:
 # --- CSV recognition --------------------------------------------------------------
 
 
-def _read_csv(path):
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except UnicodeDecodeError:
-        raise ParseError(f"{path}: not UTF-8 text") from None
-    rows = [r for r in rows if r]
-    if len(rows) < 2:
-        return None, None
-    return rows[0], rows[1:]
-
-
 def _column(rows, idx):
     """Float column with empty cells dropped; returns (row_positions, values)."""
     pos, vals = [], []
@@ -201,14 +189,15 @@ def _column(rows, idx):
 
 
 def render_csv(path) -> tuple[str, str] | None:
-    """Render one known CSV layout to (title, svg); None when unrecognized.
-    A row of a recognized layout that does not parse raises ParseError."""
+    """Render one known CSV layout to (title, svg); None when unrecognized
+    or without rows. A file ``data.read_table`` refuses, or a row of a
+    recognized layout that does not parse, raises ParseError."""
     path = Path(path)
-    header, rows = _read_csv(path)
-    if header is None:
+    header, rows = read_table(path)
+    if not rows:
         return None
     try:
-        return _render_rows(path.stem, [h.strip() for h in header], rows)
+        return _render_rows(path.stem, header, rows)
     except (ValueError, IndexError) as exc:
         raise ParseError(f"{path}: a row does not fit its layout: {exc}") from exc
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Label
+from .data import Label, read_table
 from .errors import (
     BadWindow,
     ConfigError,
@@ -348,12 +348,7 @@ def save_loss_trace(losses: list[float], path) -> None:
 
 
 def load_loss_trace(path) -> list[float]:
-    losses = []
-    with open(path) as fh:
-        header = fh.readline()
-        if header.strip() != "epoch,loss":
-            raise CorruptCheckpoint(f"{path} is not a loss trace")
-        for line in fh:
-            if line.strip():
-                losses.append(float(line.split(",")[1]))
-    return losses
+    header, rows = read_table(path)
+    if header != ["epoch", "loss"]:
+        raise CorruptCheckpoint(f"{path} is not a loss trace")
+    return [float(row[1]) for row in rows]

@@ -2,11 +2,13 @@
 and bit-identical replay of recorded runs."""
 
 import argparse
+import csv
 import filecmp
 import hashlib
 import json
 import re
 import shlex
+import shutil
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -689,6 +691,30 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err) == {
             "error": "ParseError", "message": f"{latin}: not UTF-8 text"}
 
+    def test_report_on_a_cell_over_the_csv_field_limit_exits_3(self, tmp_path, capsys):
+        loss = tmp_path / "loss.csv"
+        loss.write_text("epoch,loss\n0," + "7" * (csv.field_size_limit() + 1) + "\n")
+        code = main(["report", "--inputs", str(loss),
+                     "--out", str(tmp_path / "o"), "--log-level", "error"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith(f"{loss}: field larger than field limit")
+
+    def test_preprocess_with_a_manifest_that_is_not_utf8_exits_3(self, pipeline,
+                                                                 tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline / "synth" / "data", data)
+        manifest = data / "manifest.csv"
+        assert manifest.exists()
+        with open(manifest, "ab") as fh:
+            fh.write(b"x\xe9,syncope,\r\n")
+        code = run_cli("preprocess", "--data", data, "--out", tmp_path / "o",
+                       "--log-level", "error")
+        assert code == 3
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {
+            "error": "ParseError", "message": f"{manifest}: not UTF-8 text"}
+
     @pytest.mark.parametrize("command, args, named", [
         ("hpo", ["--inner-fraction", "1.5"], "inner_fraction"),
         ("hpo", ["--epochs", "-1"], "epochs"),
@@ -726,8 +752,9 @@ class TestExitCodes:
         ([LOG_HEADER, "0,5,50,0.5,nan,done"], "row 2: objective nan"),
         ([LOG_HEADER, "0,700,50,0.5,0.5,done"], "row 2: {'gru_units': 700"),
         ([LOG_HEADER, "0,5,50,0.5,0.5,maybe"], "row 2: status 'maybe'"),
+        (f"{LOG_HEADER}\n0,5,50,0.5,0.5,d\xe9\n".encode("latin-1"), "not UTF-8 text"),
     ], ids=["missing", "phase2-log", "non-numeric", "non-finite", "outside",
-            "status"])
+            "status", "not-utf8"])
     def test_bad_phase1_log_exits_2_before_any_work(self, pipeline, tmp_path,
                                                     monkeypatch, capsys,
                                                     rows, named):
@@ -735,7 +762,9 @@ class TestExitCodes:
         space = tmp_path / "space.ini"
         space.write_text(PINNED_SPACE_INI)
         log = tmp_path / "phase1.csv"
-        if rows is not None:
+        if isinstance(rows, bytes):
+            log.write_bytes(rows)
+        elif rows is not None:
             log.write_text("\n".join(rows) + "\n")
         code = run_cli("hpo", "--train-dir", pipeline / "prep" / "clean" / "train",
                        "--space", space, "--phase", "2", "--phase1-log", log,

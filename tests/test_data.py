@@ -17,6 +17,7 @@ from sentinel.data import (
     find_conflicts,
     load_recording,
     read_manifest,
+    read_table,
     scan_dataset,
     write_manifest,
     write_recording,
@@ -393,6 +394,22 @@ class TestRoundTrip:
         with pytest.raises(ParseError):
             read_manifest(path)
 
+    def test_manifest_header_is_stripped_and_blank_lines_skipped(self, tmp_path):
+        path = raw_file(tmp_path / "manifest.csv",
+                        " id , label ,marker_s\n\nx,syncope,1.6\n\ny,nosyncope,\n")
+        assert read_manifest(path) == {"x": (Label.SYNCOPE, 1.6),
+                                       "y": (Label.NOSYNCOPE, None)}
+
+
+class TestReadTable:
+    def test_header_stripped_blank_lines_left_out_cells_as_written(self, tmp_path):
+        path = raw_file(tmp_path / "t.csv", "\n a ,b \r\n\r\n1, 2\n\n\n3,\n")
+        assert read_table(path) == (["a", "b"], [("1", " 2"), ("3", "")])
+
+    def test_empty_file(self, tmp_path):
+        assert read_table(raw_file(tmp_path / "t.csv", "")) == ([], [])
+        assert read_table(raw_file(tmp_path / "u.csv", "\n\n")) == ([], [])
+
 
 class TestScanDataset:
     def _tree(self, tmp_path, n_no=6, n_syn=1):
@@ -424,6 +441,20 @@ class TestScanDataset:
         assert len(cat.records) == 3
         assert len(cat.skipped) == 1
         assert "junk" in cat.skipped[0][0]
+
+    def test_undecodable_and_overlong_files_skipped_not_fatal(self, tmp_path):
+        # a byte that is not UTF-8, and a cell longer than csv's field limit
+        self._tree(tmp_path, n_no=2, n_syn=1)
+        latin = tmp_path / "syncope" / "latin.csv"
+        latin.write_bytes(b"time_s,mBP,HR\n0.0,80,70\n0.8,81,\xe9\n")
+        long_cell = raw_file(tmp_path / "syncope" / "long.csv",
+                             "time_s,mBP,HR\n0.0,80," + "7" * (csv.field_size_limit() + 1))
+        cat = scan_dataset(tmp_path)
+        assert sorted(r.id for r in cat.records) == ["n00", "n01", "s00"]
+        reasons = dict(cat.skipped)
+        assert reasons.keys() == {str(latin), str(long_cell)}
+        assert reasons[str(latin)] == f"{latin}: not UTF-8 text"
+        assert reasons[str(long_cell)].startswith(f"{long_cell}: field larger")
 
     def test_manifest_overrides_directory_label_and_sets_marker(self, tmp_path):
         write_rows(tmp_path / "nosyncope" / "rec9.csv", grid_rows(5))

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from sentinel import evaluate, hpo, train
 from sentinel.data import Label
-from sentinel.errors import AllTrialsFailed, ConfigError, DegenerateSurrogate
+from sentinel.errors import AllTrialsFailed, ConfigError, ConfigInvalid, DegenerateSurrogate
 from sentinel.nn import ModelSpec
 from sentinel.train import TrainConfig
 
@@ -512,6 +512,20 @@ class TestPersistence:
             assert a.status == b.status
         header = path.read_text().splitlines()[0]
         assert header.split(",")[:2] == ["trial", "gru_units"]
+
+    def test_trials_log_rows_are_numbered_without_blank_lines(self, tmp_path):
+        # the header is row 1 and a blank line is not a row, the rule of
+        # data.load_recording's messages
+        space = hpo.default_space()
+        point = space.from_unit(np.full(len(space.names), 0.5))
+        path = tmp_path / "trials.csv"
+        hpo.write_trials_csv([hpo.HpoTrial(point, 0.5, "done"),
+                              hpo.HpoTrial(point, 0.5, "maybe")], space, path)
+        header, first, second = path.read_text().splitlines()
+        path.write_text("\n".join([header, "", first, "", "", second]) + "\n")
+        with pytest.raises(ConfigInvalid) as info:
+            hpo.read_trials_csv(path, space)
+        assert str(info.value) == f"{path}: row 3: status 'maybe' is not done or failed"
 
     def test_pd_csv(self, tmp_path):
         space = unit_space(2)

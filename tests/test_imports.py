@@ -23,19 +23,28 @@ def test_no_private_cross_module_imports():
     assert [hit for path in modules for hit in private_imports(path)] == []
 
 
-def csv_writers(path: Path) -> list[str]:
-    """Each use of ``csv.writer`` in a file, as ``file:line``, whether called
-    as ``csv.writer`` or imported by name."""
+def csv_uses(path: Path, names: set[str]) -> list[str]:
+    """Each use of ``csv.<name>`` for a name in ``names`` in a file, as
+    ``file:line``, whether called as ``csv.<name>`` or imported by name."""
     tree = ast.parse(path.read_text(), filename=str(path))
     return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-            if (isinstance(node, ast.Attribute) and node.attr == "writer"
+            if (isinstance(node, ast.Attribute) and node.attr in names
                 and isinstance(node.value, ast.Name) and node.value.id == "csv")
             or (isinstance(node, ast.ImportFrom) and node.module == "csv"
-                and "writer" in {alias.name for alias in node.names})]
+                and names & {alias.name for alias in node.names})]
 
 
 def test_csv_writer_only_in_data():
     # every result table goes through data.write_table, so every table
     # follows one cell rule
-    hits = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in csv_writers(path)]
+    hits = [hit for path in sorted(PACKAGE.glob("*.py"))
+            for hit in csv_uses(path, {"writer"})]
+    assert hits and all(hit.startswith("data.py:") for hit in hits), hits
+
+
+def test_csv_readers_only_in_data():
+    # every table the program takes in goes through data.read_table, so
+    # every input is decoded, numbered and refused by one rule
+    hits = [hit for path in sorted(PACKAGE.glob("*.py"))
+            for hit in csv_uses(path, {"reader", "DictReader"})]
     assert hits and all(hit.startswith("data.py:") for hit in hits), hits
