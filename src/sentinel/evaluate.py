@@ -158,7 +158,7 @@ def series_probabilities(model: GruModel, series: CleanSeries,
     workers = _trace_workers(model)
 
     def score(lo: int) -> int:
-        chunk = np.ascontiguousarray(views[lo:lo + EVAL_CHUNK])
+        chunk = views[lo:lo + EVAL_CHUNK]  # stride-1: forward_batch shares its samples
         probs, _ = forward_batch(model, chunk, need_cache=False)
         out[lo:lo + len(chunk)] = probs[:, 1]
         return lo + len(chunk)

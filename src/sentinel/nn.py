@@ -23,6 +23,15 @@ with leading-axis matmuls. Forward-only models run the same code with
 n_dir = 1. Scan arrays are time-major with the gates and directions inside,
 (T, [gate,] n_dir, batch, H), so each step's slice is one contiguous block.
 
+Input shares: before its time loop a scan computes the input's share of
+every gate's pre-activation, x W + b, for every direction. Each layer takes
+one row per window and step, except layer 0 of an inference pass over
+stride-1 windows (each window one sample after the one before, as
+``CleanSeries.windows`` gives them): a chunk of B windows of T samples is
+then B+T-1 samples, it takes one row per sample, and each step reads a
+sliding view of those rows. Its backward direction runs the windows
+last-first there, and :func:`forward_batch` puts them back in order.
+
 Backpropagation: the backward time loop carries only the state gradient.
 The factors that turn it into each gate's pre-activation gradient are built
 before the loop in whole-array passes, and every sum over rows is taken
@@ -275,13 +284,17 @@ def _by_gate(a: np.ndarray, gates: int) -> np.ndarray:
 
 
 def _scan(seq: np.ndarray, layer: GruLayer, ws: Workspace, need_cache: bool,
-          slot: int = 0) -> _ScanCache:
+          slot: int = 0, samples: np.ndarray | None = None) -> _ScanCache:
     """Run every direction of ``layer`` over the time-major sequence
     ``seq`` (T, B, D), all of them in one time loop.
 
     The input's share of each gate's pre-activation is taken from ``ws``'s
     shared buffers, the emitted states (and, with ``need_cache``, the gates
-    and candidates) from those of ``slot``.
+    and candidates) from those of ``slot``. Given ``samples`` (B+T-1, D),
+    with ``seq[t, b] == samples[t + b]``, the shares are computed once per
+    sample instead, into an array of their own, and step t of batch row b
+    reads sample row t + b in both directions: the backward direction then
+    runs the batch last-first, so its row b holds the states of window B-1-b.
 
     sigmoid(a) = 0.5 + 0.5 tanh(a / 2), with the halving folded into the z
     and r weights and biases: a power-of-two scale is exact, so the gates
@@ -293,18 +306,23 @@ def _scan(seq: np.ndarray, layer: GruLayer, ws: Workspace, need_cache: bool,
     w = _by_gate(layer.wx, 3) * scale  # (3, n, D, H)
     b = _by_gate(layer.b[:, None], 3) * scale  # (3, n, 1, H)
     u_zr = _by_gate(layer.u_zr, 2) * 0.5  # (2, n, H, H)
-    # One (T*B, D) @ (D, H) product per gate and direction, over the input
+    # One (rows, D) @ (D, H) product per gate and direction, over the input
     # in natural time: the backward direction's is reversed as it is stored,
     # so no reversed copy of the input is made. Each product is written to
     # the states' buffer, which the time loop does not fill until after.
-    xp = ws.take("xp", (T, 3, n, B, H))
     hs = ws.take(f"hs{slot}", (T, n, B, H))
-    xw = hs.reshape(-1)[:T * B * H].reshape(T * B, H)
-    rows = seq.reshape(T * B, D)
+    if samples is None:  # a row per window and step
+        rows, xp = seq.reshape(T * B, D), ws.take("xp", (T, 3, n, B, H))
+        shares = xp.transpose(1, 2, 0, 3, 4)
+    else:  # a row per sample; B+T-1 <= T*B, so they fit in hs too
+        rows, shares = samples, np.empty((3, n, B + T - 1, H))
+    xw = hs.reshape(-1)[:len(rows) * H].reshape(shares.shape[2:])
     for g in range(3):
         for k in range(n):
-            np.matmul(rows, w[g, k], out=xw)
-            np.add(xw.reshape(T, B, H)[::(-1) ** k], b[g, k], out=xp[:, g, k])
+            np.matmul(rows, w[g, k], out=xw.reshape(-1, H))
+            np.add(xw[::(-1) ** k], b[g, k], out=shares[g, k])
+    if samples is not None:  # (T, 3, n, B, H), step t of row b at sample row t + b
+        xp = np.lib.stride_tricks.sliding_window_view(shares, B, axis=2).transpose(2, 0, 1, 4, 3)
     if need_cache:
         zrs, cs = ws.take(f"zrs{slot}", (T, 2, n, B, H)), ws.take(f"cs{slot}", (T, n, B, H))
         gates = zip(zrs, cs)
@@ -477,6 +495,11 @@ def forward_batch(model: GruModel, windows: np.ndarray, need_cache: bool = True,
         )
     ws = Workspace() if workspace is None else workspace
     ws.generation += 1
+    # stride-1 windows: layer 0 takes its input shares per sample (see Input
+    # shares in the module docstring)
+    samples = None
+    if not need_cache and len(windows) and windows.strides[0] == windows.strides[1]:
+        samples = np.concatenate([windows[:, 0], windows[-1, 1:]])
     seq = windows.transpose(1, 0, 2)  # time-major
     layer_caches: list[_ScanCache] = []
     top = len(model.layers) - 1
@@ -485,13 +508,17 @@ def forward_batch(model: GruModel, windows: np.ndarray, need_cache: bool = True,
         # layer's states only until the next layer's input is built, so all
         # its layers share one slot
         slot = li if need_cache else 0
-        cache = _scan(seq, layer, ws, need_cache, slot)
+        cache = _scan(seq, layer, ws, need_cache, slot, samples)
         layer_caches.append(cache)
+        states = list(cache.hs.swapaxes(0, 1))  # per direction, in processing order
+        if samples is not None:  # the backward direction's batch back in window order
+            states[1:] = [s[:, ::-1] for s in states[1:]]
+            samples = None  # the next layers' input is one row per window and step
         if li < top:  # the top layer's sequence is never read, only its final states
             T, n, B, H = cache.hs.shape
-            seq = np.concatenate(_time_aligned(cache.hs.swapaxes(0, 1)), axis=-1,
+            seq = np.concatenate(_time_aligned(states), axis=-1,
                                  out=ws.take(f"seq{slot + 1}", (T, B, n * H)))
-    feat = np.concatenate(list(cache.hs[-1]), axis=-1)  # per row [fwd|bwd], a copy
+    feat = np.concatenate([s[-1] for s in states], axis=-1)  # per row [fwd|bwd], a copy
     probs = softmax(feat @ model.head.w + model.head.b)
     if not need_cache:
         return probs, ForwardCache(probs=probs, feat=feat, layer_caches=None)

@@ -481,6 +481,8 @@ def load_clean_series(path: str | Path) -> CleanSeries:
             lines = list(filter(None, map(str.strip, fh)))
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not UTF-8 text") from None
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
     meta: dict[str, str] = {}
     for line in [line for line in lines if line[0] == "#"]:
         key, _, value = line.lstrip("# ").partition("=")

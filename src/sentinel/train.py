@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Label, read_table
+from .data import Label
 from .errors import (
     BadWindow,
     ConfigError,
@@ -345,10 +345,3 @@ def save_loss_trace(losses: list[float], path) -> None:
         fh.write("epoch,loss\n")
         for i, loss in enumerate(losses):
             fh.write(f"{i},{loss!r}\n")
-
-
-def load_loss_trace(path) -> list[float]:
-    header, rows = read_table(path)
-    if header != ["epoch", "loss"]:
-        raise CorruptCheckpoint(f"{path} is not a loss trace")
-    return [float(row[1]) for row in rows]

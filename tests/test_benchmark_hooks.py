@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sentinel import cli, hpo, nn, train
+from sentinel import cli, evaluate, hpo, nn, train
 from sentinel.data import DEFAULT_RATE_HZ, Label, load_recording, write_recording
 from sentinel.preprocess import (
     CleanSeries,
@@ -115,3 +115,34 @@ def test_fit_calls_each_traced_step_once_per_batch(monkeypatch):
     assert sum(len(windows) for _, windows in calls["forward_batch"]) == (
         cfg.epochs * history.n_windows)
     assert all(isinstance(cache, nn.ForwardCache) for _, cache in calls["backward_batch"])
+
+
+def test_trace_calls_forward_batch_once_per_chunk_with_its_windows(layers, monkeypatch):
+    # the traced `detect` and `hpo` runs count a trace's windows twice: by
+    # `evaluate.series_probabilities`'s result and by the windows each
+    # `forward_batch` call it makes is given, which are stride-1 views of the
+    # series, so that forward_batch can share their samples
+    rng = np.random.default_rng(5)
+    series = CleanSeries(id="s", label=Label.SYNCOPE, mbp=rng.uniform(-1, 1, 420),
+                         hr=rng.uniform(-1, 1, 420), marker_index=None, rate_hz=1.25,
+                         norm_params={"mBP": (60.0, 110.0), "HR": (50.0, 120.0)})
+    model = nn.init_params(nn.ModelSpec(1, [3], True, 20), seed=1)
+    seen = []
+    real = evaluate.forward_batch
+
+    def spy(*args, **kwargs):
+        seen.append(args[:2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "forward_batch", spy)
+    trace = evaluate.series_probabilities(model, series)
+    tracer = benchmark_module("spans").Tracer()
+    for args in seen:
+        layers._count_forward(tracer, args, {}, None)
+    layers._count_trace(tracer, (model, series), {}, trace)
+    assert len(trace) == 401
+    assert len(seen) == -(-len(trace) // evaluate.EVAL_CHUNK)
+    assert all(m is model for m, _ in seen)
+    assert tracer.counts["setup", "nn.windows"] == tracer.counts[
+        "setup", "evaluate.trace_windows"] == len(trace)
+    assert all(w.strides[0] == w.strides[1] and not w.flags.owndata for _, w in seen)

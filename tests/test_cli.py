@@ -715,6 +715,19 @@ class TestExitCodes:
         assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {
             "error": "ParseError", "message": f"{manifest}: not UTF-8 text"}
 
+    def test_evaluate_on_a_cleaned_series_it_cannot_read_exits_3(self, pipeline,
+                                                                 tmp_path, capsys):
+        data = tmp_path / "test"
+        shutil.copytree(pipeline / "prep" / "clean" / "test", data)
+        odd = data / "odd.csv"
+        odd.mkdir()
+        code = run_cli("evaluate", "--model", pipeline / "train" / "model.ckpt",
+                       "--data", data, "--out", tmp_path / "o", "--log-level", "error")
+        assert code == 3
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith(f"{odd}: cannot read: ")
+
     @pytest.mark.parametrize("command, args, named", [
         ("hpo", ["--inner-fraction", "1.5"], "inner_fraction"),
         ("hpo", ["--epochs", "-1"], "epochs"),

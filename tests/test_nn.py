@@ -7,7 +7,9 @@ from numpy.testing import assert_allclose
 from scipy.special import expit
 
 from sentinel import nn
+from sentinel.data import Label
 from sentinel.errors import DimensionMismatch, NoActivationCache
+from sentinel.preprocess import CleanSeries
 
 
 def direction(layer, k):
@@ -419,6 +421,64 @@ class TestWorkspace:
             assert probs.tobytes() == fresh_probs.tobytes()
             assert {n: g.tobytes() for n, g in grads.items()} == {
                 n: g.tobytes() for n, g in fresh_grads.items()}
+
+
+def stride_one_windows(window, n_windows, seed):
+    """A random series and ``n_windows`` of its stride-1 window views,
+    starting three windows in, as ``CleanSeries.windows`` gives them."""
+    rng = np.random.default_rng(seed)
+    series = CleanSeries(id="s", label=Label.SYNCOPE, mbp=rng.uniform(-1, 1, window + n_windows + 5),
+                         hr=rng.uniform(-1, 1, window + n_windows + 5), marker_index=None,
+                         rate_hz=1.25, norm_params={})
+    views = series.windows(window)[0][3:3 + n_windows]
+    assert views.strides[0] == views.strides[1] and len(views) == n_windows
+    return series, views
+
+
+class TestStrideOneWindows:
+    # A stride-1 view lets layer 0 take its input shares per sample, with its
+    # backward direction running the batch last-first; the probabilities and
+    # features must be those of a contiguous copy, bit for bit.
+    @pytest.mark.parametrize("spec", [
+        nn.ModelSpec(2, [32, 32], bidirectional=True, window_size=100),
+        nn.ModelSpec(1, [4], bidirectional=True, window_size=40),
+        nn.ModelSpec(1, [6], bidirectional=True, window_size=50),
+        nn.ModelSpec(3, [24, 40, 16], bidirectional=True, window_size=30),
+        nn.ModelSpec(1, [256], bidirectional=True, window_size=12),
+        nn.ModelSpec(1, [16], bidirectional=False, window_size=40),
+        nn.ModelSpec(2, [8, 8], bidirectional=False, window_size=25),
+        nn.ModelSpec(1, [5], bidirectional=True, window_size=1),
+        nn.ModelSpec(2, [5, 3], bidirectional=True, window_size=2),
+    ], ids=["2x32b", "1x4b", "1x6b", "3x(24,40,16)b", "1x256b", "1x16f", "2x8f",
+            "window1", "window2"])
+    @pytest.mark.parametrize("n_windows", [1, 5, 127, 128])
+    def test_view_matches_its_contiguous_copy_bitwise(self, spec, n_windows):
+        model = nn.init_params(spec, seed=n_windows)
+        for layer in model.layers:  # nonzero biases, so a misplaced one would show
+            layer.b[:] = np.random.default_rng(7).normal(scale=0.5, size=layer.b.shape)
+        series, views = stride_one_windows(spec.window_size, n_windows, seed=spec.window_size)
+        before = (series.mbp.tobytes(), series.hr.tobytes(), views.tobytes())
+        probs, cache = nn.forward_batch(model, views, need_cache=False)
+        want, want_cache = nn.forward_batch(model, np.ascontiguousarray(views), need_cache=False)
+        assert probs.tobytes() == want.tobytes()
+        assert cache.feat.tobytes() == want_cache.feat.tobytes()
+        assert (series.mbp.tobytes(), series.hr.tobytes(), views.tobytes()) == before
+
+    @pytest.mark.parametrize("spec", [
+        nn.ModelSpec(2, [5, 4], bidirectional=True, window_size=8),
+        nn.ModelSpec(1, [6], bidirectional=False, window_size=8),
+    ], ids=["2x(5,4)b", "1x6f"])
+    def test_training_on_a_view_gives_the_gradients_of_its_copy(self, spec):
+        model = nn.init_params(spec, seed=3)
+        _, views = stride_one_windows(spec.window_size, 6, seed=8)
+        targets = np.array([0, 1, 1, 0, 1, 0])
+        probs, cache = nn.forward_batch(model, views)
+        grads = nn.backward_batch(model, cache, targets)
+        want, want_cache = nn.forward_batch(model, np.ascontiguousarray(views))
+        want_grads = nn.backward_batch(model, want_cache, targets)
+        assert probs.tobytes() == want.tobytes()
+        assert {n: g.tobytes() for n, g in grads.items()} == {
+            n: g.tobytes() for n, g in want_grads.items()}
 
 
 class TestInit:

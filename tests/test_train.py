@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sentinel import nn, train
-from sentinel.data import Label
+from sentinel.data import Label, read_table
 from sentinel.errors import (
     BadWindow,
     ConfigError,
@@ -192,7 +192,7 @@ FIT_2X32B = """
 import sys
 import numpy as np
 from sentinel import nn, train
-from sentinel.data import Label
+from sentinel.data import Label, read_table
 from sentinel.preprocess import CleanSeries, SplitDataset
 
 def series(sid, label, marker, seed):
@@ -476,6 +476,6 @@ class TestCheckpoint:
         losses = [0.7, 0.35123456789012345, 0.1]
         path = tmp_path / "trace.csv"
         train.save_loss_trace(losses, path)
-        assert train.load_loss_trace(path) == losses
-        header = path.read_text().splitlines()[0]
-        assert header == "epoch,loss"
+        header, rows = read_table(path)
+        assert [float(loss) for _, loss in rows] == losses
+        assert header == ["epoch", "loss"]
