@@ -67,7 +67,7 @@ from .hpo import (
     write_pd_csv,
     write_trials_csv,
 )
-from .nn import ModelSpec, openblas
+from .nn import ModelSpec, OpenBlas, openblas, scipy_openblas
 from .preprocess import (
     OutlierConfig,
     PreprocessConfig,
@@ -393,20 +393,22 @@ def _files_under(root: Path, out: Path) -> list[str]:
 
 
 def _versions() -> dict:
-    """Versions of the interpreter and libraries, and the OpenBLAS build
-    numpy loaded with its thread count (None where it is not found):
-    trained weights can follow the BLAS thread count."""
+    """Versions of the interpreter and libraries, and the OpenBLAS builds
+    numpy and scipy loaded with their thread counts (None where one is not
+    found): trained weights can follow the BLAS thread count."""
     import numpy
     import scipy
 
-    blas = openblas()
+    def blas(found: OpenBlas | None) -> dict | None:
+        return None if found is None else {"library": found.library, "threads": found.get()}
+
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "sentinel": __version__,
-        "blas": None if blas is None else {"library": blas.library,
-                                           "threads": blas.get()},
+        "blas": blas(openblas()),
+        "scipy_blas": blas(scipy_openblas()),
     }
 
 

@@ -33,7 +33,7 @@ from scipy.stats import norm, qmc
 from . import evaluate, train
 from .data import read_table, write_table
 from .errors import AllTrialsFailed, ConfigError, ConfigInvalid, DegenerateSurrogate, ParseError
-from .nn import ModelSpec
+from .nn import ModelSpec, one_blas_thread, scipy_openblas
 from .preprocess import check_fraction, split_train_test
 
 log = logging.getLogger(__name__)
@@ -350,7 +350,8 @@ def observe(surr: Surrogate, params: dict | list[dict],
     u = np.clip([surr.space.to_unit(p) for p in batch], 0.0, 1.0)
     surr.x = np.vstack([surr.x, u])
     surr.y = np.append(surr.y, np.asarray(objective, dtype=float))
-    _fit_hyperparameters(surr)
+    with one_blas_thread(scipy_openblas):
+        _fit_hyperparameters(surr)
     return surr
 
 
@@ -380,8 +381,9 @@ def suggest_next(surr: Surrogate, n_init: int = N_INIT) -> dict:
         return space.from_unit(_sobol_point(len(space), n, seed))
     rng = np.random.default_rng([seed, n, 2])
     candidates = rng.uniform(size=(N_CANDIDATES, len(space)))
-    mu, var = surr.posterior(candidates)
-    ei = expected_improvement(mu, np.sqrt(var), surr.best_objective)
+    with one_blas_thread(scipy_openblas):
+        mu, var = surr.posterior(candidates)
+        ei = expected_improvement(mu, np.sqrt(var), surr.best_objective)
     return space.from_unit(candidates[int(np.argmax(ei))])
 
 

@@ -23,14 +23,20 @@ with leading-axis matmuls. Forward-only models run the same code with
 n_dir = 1. Scan arrays are time-major with the gates and directions inside,
 (T, [gate,] n_dir, batch, H), so each step's slice is one contiguous block.
 
-Input shares: before its time loop a scan computes the input's share of
-every gate's pre-activation, x W + b, for every direction. Each layer takes
-one row per window and step, except layer 0 of an inference pass over
-stride-1 windows (each window one sample after the one before, as
-``CleanSeries.windows`` gives them): a chunk of B windows of T samples is
-then B+T-1 samples, it takes one row per sample, and each step reads a
-sliding view of those rows. Its backward direction runs the windows
-last-first there, and :func:`forward_batch` puts them back in order.
+Input shares: a scan computes the input's share of every gate's
+pre-activation, x W + b, for every direction, one block of steps at a time
+just before its time loop reaches them, each direction's rows (one per
+window and step) concatenated from the lower layer's states. A training
+pass takes one block of all T steps, whose rows BPTT keeps; an inference
+pass over B windows takes blocks of ceil(BLOCK_ROWS / B) steps, and builds
+no layer's whole input. For a few widths (12 and 18 units) BLAS picks its
+product kernel by row count, so inference can then differ from training in
+the last bit. Layer 0 of an inference pass over stride-1 windows (each
+window one sample after the one before, as ``CleanSeries.windows`` gives
+them) instead takes one row per sample: a chunk of B windows of T samples
+is B+T-1 samples, and each step reads a sliding view of those rows. Its
+backward direction runs the windows last-first there, and
+:func:`forward_batch` puts them back in order.
 
 Backpropagation: the backward time loop carries only the state gradient.
 The factors that turn it into each gate's pre-activation gradient are built
@@ -59,7 +65,10 @@ cache keeps every layer's arrays in a slot of their own until
 :func:`backward_batch` consumes them; the next ``forward_batch`` on the
 same workspace overwrites them, and ``backward_batch`` then rejects the
 stale cache with NoActivationCache instead of returning wrong gradients.
-Probabilities, features and gradients are always fresh arrays.
+An inference pass keeps a layer's states only while the layer above reads
+them, in two slots that alternate by layer, and of the top layer only its
+running state. Probabilities, features and gradients are always fresh
+arrays.
 
 All arithmetic is float64. Per step and for all directions together, the
 forward loop makes two small matmuls and two tanh calls; the sigmoid is
@@ -71,6 +80,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.util
 import math
 from contextlib import contextmanager
 from copy import deepcopy
@@ -84,6 +94,13 @@ import numpy as np
 from .errors import ConfigInvalid, DimensionMismatch, NoActivationCache
 
 PROB_FLOOR = 1e-12
+# Rows (windows x steps) per block of an inference scan's input shares: a
+# block is ceil(BLOCK_ROWS / B) steps at B windows. 2x32b at window 100, one
+# BLAS thread, CPU time per chunk: at 16 windows one-step blocks took 8.8 ms
+# against 5.9 at 1,024 rows, and larger blocks were no faster (5.7-6.0 ms);
+# at 128 windows every size was within the spread. A 128-window chunk's
+# traced peak is 9.1 MiB at 1,024 rows, 15.9 at 4,096 and 35.0 in one block.
+BLOCK_ROWS = 1024
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -283,69 +300,98 @@ def _by_gate(a: np.ndarray, gates: int) -> np.ndarray:
     return a.reshape(n, rows, gates, -1).transpose(2, 0, 1, 3)
 
 
-def _scan(seq: np.ndarray, layer: GruLayer, ws: Workspace, need_cache: bool,
-          slot: int = 0, samples: np.ndarray | None = None) -> _ScanCache:
-    """Run every direction of ``layer`` over the time-major sequence
-    ``seq`` (T, B, D), all of them in one time loop.
+def _scan(seq: np.ndarray | list[np.ndarray], layer: GruLayer, ws: Workspace,
+          need_cache: bool, slot: int = 0, samples: np.ndarray | None = None,
+          keep: bool = True) -> _ScanCache:
+    """Run every direction of ``layer`` over the time-major input ``seq``
+    (T, B, D), or over the concatenation of a list of (T, B, D_i) arrays
+    along their last axis, all directions in one time loop.
 
-    The input's share of each gate's pre-activation is taken from ``ws``'s
-    shared buffers, the emitted states (and, with ``need_cache``, the gates
-    and candidates) from those of ``slot``. Given ``samples`` (B+T-1, D),
-    with ``seq[t, b] == samples[t + b]``, the shares are computed once per
-    sample instead, into an array of their own, and step t of batch row b
-    reads sample row t + b in both directions: the backward direction then
-    runs the batch last-first, so its row b holds the states of window B-1-b.
+    The input shares are computed in blocks (see Input shares in the module
+    docstring); a training pass's one block of rows is the cache's ``seq``.
+    Given ``samples`` (B+T-1, D), with ``seq[t, b] == samples[t + b]``, they
+    are computed once per sample instead, and step t of batch row b reads
+    sample row t + b in both directions: the backward direction then runs
+    the batch last-first, so its row b holds the states of window B-1-b.
+    The emitted states (and, with ``need_cache``, the gates and candidates)
+    go to the buffers of ``slot``; with ``keep`` False only the running
+    state is kept, and the cache's ``hs`` is the final one, (1, n_dir, B, H).
 
     sigmoid(a) = 0.5 + 0.5 tanh(a / 2), with the halving folded into the z
     and r weights and biases: a power-of-two scale is exact, so the gates
     equal :func:`sigmoid` of their pre-activations.
     """
-    T, B, D = seq.shape
+    parts = [seq] if isinstance(seq, np.ndarray) else seq
+    T, B = parts[0].shape[:2]
+    D = sum(p.shape[-1] for p in parts)
     n, H = layer.n_dir, layer.units
     scale = np.array([0.5, 0.5, 1.0])[:, None, None, None]
     w = _by_gate(layer.wx, 3) * scale  # (3, n, D, H)
     b = _by_gate(layer.b[:, None], 3) * scale  # (3, n, 1, H)
     u_zr = _by_gate(layer.u_zr, 2) * 0.5  # (2, n, H, H)
-    # One (rows, D) @ (D, H) product per gate and direction, over the input
-    # in natural time: the backward direction's is reversed as it is stored,
-    # so no reversed copy of the input is made. Each product is written to
-    # the states' buffer, which the time loop does not fill until after.
-    hs = ws.take(f"hs{slot}", (T, n, B, H))
-    if samples is None:  # a row per window and step
-        rows, xp = seq.reshape(T * B, D), ws.take("xp", (T, 3, n, B, H))
-        shares = xp.transpose(1, 2, 0, 3, 4)
-    else:  # a row per sample; B+T-1 <= T*B, so they fit in hs too
-        rows, shares = samples, np.empty((3, n, B + T - 1, H))
-    xw = hs.reshape(-1)[:len(rows) * H].reshape(shares.shape[2:])
-    for g in range(3):
+
+    def project(rows: np.ndarray, k: int, out: np.ndarray) -> None:
+        """out[g] = rows @ w[g, k] + b[g, k] for each gate g, one (rows, D)
+        @ (D, H) product each; ``out`` orders the rows as it stores them."""
+        xw = ws.take("xw", (len(rows), H))
+        for g in range(3):
+            np.matmul(rows, w[g, k], out=xw)
+            np.add(xw.reshape(out.shape[1:]), b[g, k], out=out[g])
+
+    if need_cache or samples is not None:
+        block = T
+    else:
+        block = min(T, -(-BLOCK_ROWS // max(B, 1)))
+    if samples is not None:  # a row per sample, the backward direction's last-first
+        shares = np.empty((3, n, B + T - 1, H))
         for k in range(n):
-            np.matmul(rows, w[g, k], out=xw.reshape(-1, H))
-            np.add(xw[::(-1) ** k], b[g, k], out=shares[g, k])
-    if samples is not None:  # (T, 3, n, B, H), step t of row b at sample row t + b
+            project(samples, k, shares[:, k, ::(-1) ** k])
+        # (T, 3, n, B, H), step t of row b at sample row t + b
         xp = np.lib.stride_tricks.sliding_window_view(shares, B, axis=2).transpose(2, 0, 1, 4, 3)
+    h = np.zeros((n, B, H))
+    if keep:
+        hs = ws.take(f"hs{slot}", (T, n, B, H))
+        outs = iter(hs)
+    else:  # the state is updated in place, and hs views it
+        hs, outs = h[None], repeat(h)
     if need_cache:
         zrs, cs = ws.take(f"zrs{slot}", (T, 2, n, B, H)), ws.take(f"cs{slot}", (T, n, B, H))
         gates = zip(zrs, cs)
     else:
-        gates = repeat((np.empty((2, n, B, H)), np.empty((n, B, H))), T)
-    h = np.zeros((n, B, H))
+        gates = repeat((np.empty((2, n, B, H)), np.empty((n, B, H))))
     rh, move = np.empty((n, B, H)), np.empty((n, B, H))
-    for x, (zr, c), h_next in zip(xp, gates, hs):
-        np.matmul(h, u_zr, out=zr)
-        zr += x[:2]
-        np.tanh(zr, out=zr)
-        zr *= 0.5
-        zr += 0.5
-        np.multiply(zr[1], h, out=rh)
-        np.matmul(rh, layer.u_c, out=c)
-        c += x[2]
-        np.tanh(c, out=c)
-        np.subtract(c, h, out=move)  # h' = h + z (c - h)
-        move *= zr[0]
-        h = np.add(h, move, out=h_next)
+    for t0 in range(0, T, block):
+        t1 = min(t0 + block, T)
+        if samples is None:
+            # the backward direction's steps t0..t1-1 read natural time
+            # T-t1..T-t0 backwards: its shares are stored reversed, so no
+            # reversed copy of the input is made
+            xb = ws.take("xp", (t1 - t0, 3, n, B, H))
+            for k in range(n):
+                lo, hi = (t0, t1) if k == 0 else (T - t1, T - t0)
+                if k == 0 or lo != t0:
+                    rows = np.concatenate([p[lo:hi] for p in parts], axis=-1,
+                                          out=ws.take(f"seq{slot}", (hi - lo, B, D)))
+                project(rows.reshape(-1, D), k, xb[::(-1) ** k, :, k].swapaxes(0, 1))
+        else:
+            xb = xp[t0:t1]
+        # zip reads xb first, so outs and gates advance only by the block's steps
+        for x, (zr, c), h_next in zip(xb, gates, outs):
+            np.matmul(h, u_zr, out=zr)
+            zr += x[:2]
+            np.tanh(zr, out=zr)
+            zr *= 0.5
+            zr += 0.5
+            np.multiply(zr[1], h, out=rh)
+            np.matmul(rh, layer.u_c, out=c)
+            c += x[2]
+            np.tanh(c, out=c)
+            np.subtract(c, h, out=move)  # h' = h + z (c - h)
+            move *= zr[0]
+            h = np.add(h, move, out=h_next)
     if not need_cache:
-        seq = zrs = cs = None
-    return _ScanCache(seq=seq, zrs=zrs, cs=cs, hs=hs)
+        rows = zrs = cs = None
+    return _ScanCache(seq=rows, zrs=zrs, cs=cs, hs=hs)
 
 
 def _scan_backward(layer: GruLayer, cache: _ScanCache, d_hs: np.ndarray,
@@ -418,22 +464,24 @@ def _scan_backward(layer: GruLayer, cache: _ScanCache, d_hs: np.ndarray,
 
 
 class OpenBlas(NamedTuple):
-    """The OpenBLAS bundled with numpy: its file name and the getter and
-    setter of its thread count."""
+    """An OpenBLAS bundled with numpy or scipy: its file name and the
+    getter and setter of its thread count."""
 
     library: str
     get: Callable[[], int]
     put: Callable[[int], None]
 
 
-@functools.cache
-def openblas() -> OpenBlas | None:
-    """The OpenBLAS bundled with numpy, or None where it is not found."""
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+def _bundled_openblas(package: Path, suffix: str) -> OpenBlas | None:
+    """The OpenBLAS a wheel bundles in ``<name>.libs`` beside its package
+    directory ``package``, whose thread-count functions are
+    ``scipy_openblas_{get|set}_num_threads{suffix}``; None where it is not
+    found."""
+    for path in sorted((package.parent / f"{package.name}.libs").glob("*openblas*")):
         try:
             lib = ctypes.CDLL(str(path))
-            get = lib.scipy_openblas_get_num_threads64_
-            put = lib.scipy_openblas_set_num_threads64_
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
         except (OSError, AttributeError):
             continue
         get.argtypes, get.restype = [], ctypes.c_int
@@ -442,10 +490,30 @@ def openblas() -> OpenBlas | None:
     return None
 
 
+@functools.cache
+def openblas() -> OpenBlas | None:
+    """The OpenBLAS bundled with numpy (64-bit integer API), or None where
+    it is not found."""
+    return _bundled_openblas(Path(np.__file__).parent, "64_")
+
+
+@functools.cache
+def scipy_openblas() -> OpenBlas | None:
+    """The OpenBLAS bundled with scipy (32-bit integer API), which scipy's
+    LAPACK wrappers and optimizers call, or None where it is not found. It
+    is found by path, so this module does not import scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        return None
+    return _bundled_openblas(Path(spec.origin).parent, "")
+
+
 @contextmanager
-def one_blas_thread():
-    """Hold OpenBLAS to one thread, where it is found, while a trace or ``train.fit`` runs."""
-    blas = openblas()
+def one_blas_thread(find: Callable[[], OpenBlas | None] = openblas):
+    """Hold an OpenBLAS to one thread, where it is found, and set it back
+    after: numpy's while a trace or ``train.fit`` runs, scipy's
+    (``find=scipy_openblas``) while ``hpo`` refits its GP and scores EI."""
+    blas = find()
     if blas is None:
         yield
         return
@@ -504,20 +572,18 @@ def forward_batch(model: GruModel, windows: np.ndarray, need_cache: bool = True,
     layer_caches: list[_ScanCache] = []
     top = len(model.layers) - 1
     for li, layer in enumerate(model.layers):
-        # backward_batch reads every layer's activations; inference needs a
-        # layer's states only until the next layer's input is built, so all
-        # its layers share one slot
-        slot = li if need_cache else 0
-        cache = _scan(seq, layer, ws, need_cache, slot, samples)
+        # backward_batch reads every layer's activations; inference reads a
+        # layer's states only while the layer above runs, so its layers
+        # alternate between two slots, and the top layer keeps only its
+        # running state (the head reads its final states)
+        slot = li if need_cache else li % 2
+        cache = _scan(seq, layer, ws, need_cache, slot, samples, keep=need_cache or li < top)
         layer_caches.append(cache)
         states = list(cache.hs.swapaxes(0, 1))  # per direction, in processing order
         if samples is not None:  # the backward direction's batch back in window order
             states[1:] = [s[:, ::-1] for s in states[1:]]
             samples = None  # the next layers' input is one row per window and step
-        if li < top:  # the top layer's sequence is never read, only its final states
-            T, n, B, H = cache.hs.shape
-            seq = np.concatenate(_time_aligned(states), axis=-1,
-                                 out=ws.take(f"seq{slot + 1}", (T, B, n * H)))
+        seq = _time_aligned(states)  # the next layer's input, per direction
     feat = np.concatenate([s[-1] for s in states], axis=-1)  # per row [fwd|bwd], a copy
     probs = softmax(feat @ model.head.w + model.head.b)
     if not need_cache:

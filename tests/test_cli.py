@@ -554,11 +554,12 @@ class TestPipelineSmoke:
         assert record["config"]["spec"] == "1x8"
         assert record["config"]["epochs"] == 2
         assert set(record["versions"]) == {"python", "numpy", "scipy", "sentinel",
-                                           "blas"}
-        blas = record["versions"]["blas"]
-        assert blas is None or (set(blas) == {"library", "threads"}
-                                and "openblas" in blas["library"]
-                                and blas["threads"] >= 1)
+                                           "blas", "scipy_blas"}
+        for key in ("blas", "scipy_blas"):
+            blas = record["versions"][key]
+            assert blas is None or (set(blas) == {"library", "threads"}
+                                    and "openblas" in blas["library"]
+                                    and blas["threads"] >= 1)
         for rel in record["outputs"]:
             assert (pipeline / "train" / rel).exists()
         assert record["outputs"] == sorted(record["outputs"])

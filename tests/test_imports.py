@@ -48,3 +48,22 @@ def test_csv_readers_only_in_data():
     hits = [hit for path in sorted(PACKAGE.glob("*.py"))
             for hit in csv_uses(path, {"reader", "DictReader"})]
     assert hits and all(hit.startswith("data.py:") for hit in hits), hits
+
+
+def module_imports(path: Path, name: str) -> list[str]:
+    """Each ``import <name>`` or ``from <name> import ...`` in a file, as
+    ``file:line``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if (isinstance(node, ast.Import)
+                and any(alias.name.split(".")[0] == name for alias in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.level == 0
+                and (node.module or "").split(".")[0] == name)]
+
+
+def test_ctypes_only_in_nn():
+    # every hold of a BLAS library's threads, and what run.json records of
+    # them, goes through nn's one lookup
+    hits = [hit for path in sorted(PACKAGE.glob("*.py"))
+            for hit in module_imports(path, "ctypes")]
+    assert hits and all(hit.startswith("nn.py:") for hit in hits), hits

@@ -1,6 +1,8 @@
 """Network-core tests: gate algebra, scan consistency, exact gradients
 against central finite differences, and ADADELTA update arithmetic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -479,6 +481,65 @@ class TestStrideOneWindows:
         assert probs.tobytes() == want.tobytes()
         assert {n: g.tobytes() for n, g in grads.items()} == {
             n: g.tobytes() for n, g in want_grads.items()}
+
+
+class TestInferenceBlocks:
+    # An inference pass takes the input shares of the layers it does not
+    # take per sample in blocks of ceil(BLOCK_ROWS / B) steps, and keeps
+    # only the states the layer above still reads; a training pass takes
+    # one block of all T steps. Both must give the same bits, on a stride-1
+    # view and on its contiguous copy, with BLAS held as a trace holds it.
+    @pytest.mark.parametrize("spec", [
+        nn.ModelSpec(2, [32, 32], bidirectional=True, window_size=100),
+        nn.ModelSpec(3, [24, 40, 16], bidirectional=True, window_size=30),
+        nn.ModelSpec(2, [8, 8], bidirectional=False, window_size=25),
+        nn.ModelSpec(2, [5, 3], bidirectional=True, window_size=2),
+        nn.ModelSpec(1, [4], bidirectional=True, window_size=40),
+        nn.ModelSpec(1, [256], bidirectional=True, window_size=12),
+        nn.ModelSpec(1, [16], bidirectional=False, window_size=40),
+        nn.ModelSpec(1, [5], bidirectional=True, window_size=1),
+    ], ids=["2x32b", "3x(24,40,16)b", "2x8f", "2x(5,3)b", "1x4b", "1x256b", "1x16f",
+            "window1"])
+    @pytest.mark.parametrize("n_windows", [1, 5, 127, 128])
+    def test_inference_matches_a_training_pass_bitwise(self, spec, n_windows):
+        model = nn.init_params(spec, seed=n_windows)
+        for layer in model.layers:  # nonzero biases, so a misplaced one would show
+            layer.b[:] = np.random.default_rng(7).normal(scale=0.5, size=layer.b.shape)
+        _, views = stride_one_windows(spec.window_size, n_windows, seed=spec.window_size)
+        with nn.one_blas_thread():
+            want, want_cache = nn.forward_batch(model, views, need_cache=True)
+            for windows in (views, np.ascontiguousarray(views)):
+                probs, cache = nn.forward_batch(model, windows, need_cache=False)
+                assert probs.tobytes() == want.tobytes()
+                assert cache.feat.tobytes() == want_cache.feat.tobytes()
+
+    def test_blocks_round_within_an_ulp_where_blas_changes_kernel(self):
+        # Above about 10^6 multiply-adds OpenBLAS picks its product kernel by
+        # row count, and for widths such as 12 units those kernels round
+        # differently: layer 1's 1,024-row blocks may then differ from the
+        # training pass's one 12,800-row product in the last bit.
+        spec = nn.ModelSpec(2, [12, 12], bidirectional=True, window_size=100)
+        model = nn.init_params(spec, seed=128)
+        _, views = stride_one_windows(spec.window_size, 128, seed=spec.window_size)
+        with nn.one_blas_thread():
+            want, _ = nn.forward_batch(model, views, need_cache=True)
+            probs, _ = nn.forward_batch(model, views, need_cache=False)
+        assert_allclose(probs, want, rtol=0, atol=1e-15)
+
+    def test_a_trace_chunk_peaks_below_12_mib(self):
+        # one 128-window stride-1 chunk of the paper's 2x32b model: the whole
+        # sequence products of a training pass peak at about 32 MiB
+        model = nn.init_params(nn.ModelSpec(2, [32, 32], bidirectional=True,
+                                            window_size=100), seed=1)
+        _, views = stride_one_windows(100, 128, seed=3)
+        nn.forward_batch(model, views, need_cache=False)
+        tracemalloc.start()
+        try:
+            nn.forward_batch(model, views, need_cache=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 class TestInit:
