@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import ExitStack
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ import numpy as np
 from .data import Label, write_table
 from .errors import (
     ConfigError,
+    DataError,
     EmptyEvaluation,
     NoDetections,
     NoPositives,
@@ -116,9 +116,10 @@ def median_reaction(report: EvalReport) -> float | None:
 
 
 def _trace_workers(model: GruModel) -> int:
-    """Threads that score one series' trace: one per CPU available to the
-    process, or one for narrow models and where BLAS cannot be held to one
-    thread (with BLAS's own threads running the pool is no faster)."""
+    """Threads that trace the series of one call side by side: one per CPU
+    available to the process, or one for narrow models and where BLAS
+    cannot be held to one thread (with BLAS's own threads running the pool
+    is no faster)."""
     if max(model.spec.units) < POOL_MIN_UNITS or openblas() is None:
         return 1
     try:
@@ -127,64 +128,49 @@ def _trace_workers(model: GruModel) -> int:
         return os.cpu_count() or 1
 
 
-def _cancel_and_drain(futures: list[Future]) -> None:
-    """Cancel the futures not yet started, then read the results of the
-    others, so that an error in any chunk that ran is raised."""
-    started = [f for f in futures if not f.cancel()]
-    for f in started:
-        f.result()
-
-
 def series_probabilities(model: GruModel, series: CleanSeries,
                          rule: tuple[float, int] | None = None) -> np.ndarray:
     """P(syncope) for every stride-1 window of the series, or for a prefix
     of them when a detection rule is given.
 
     Entry i corresponds to the window ending at sample i + window_size - 1.
-    The windows are scored in order, in chunks of ``EVAL_CHUNK`` with
-    OpenBLAS held to one thread, on ``_trace_workers(model)`` threads (one
-    worker scores them on the calling thread). Chunk size and BLAS threads
-    can change a probability's last bits, the worker count cannot: the
-    trace is bit-identical at any worker count. With ``rule`` = (threshold,
-    consecutive) scoring stops at the chunk that completes the first run of
-    ``consecutive`` entries >= threshold, and the trace ends with that
-    chunk; chunks the pool has not started are cancelled, and those it has
-    run to their end (an error in one is raised). The first alarm of the
-    prefix is the first alarm of the whole trace, and each entry is the
-    same number either way.
+    The windows are scored in order on the calling thread, in chunks of
+    ``EVAL_CHUNK`` with OpenBLAS held to one thread, so the trace depends
+    only on the model and the series. With ``rule`` = (threshold,
+    consecutive) scoring stops at the chunk that completes the first run
+    of ``consecutive`` entries >= threshold, and the trace ends with that
+    chunk: the first alarm of the prefix is the first alarm of the whole
+    trace, and each entry is the same number either way.
     """
     views = series.windows(model.spec.window_size)[0]
     out = np.empty(len(views))
-    workers = _trace_workers(model)
-
-    def score(lo: int) -> int:
-        chunk = views[lo:lo + EVAL_CHUNK]  # stride-1: forward_batch shares its samples
-        probs, _ = forward_batch(model, chunk, need_cache=False)
-        out[lo:lo + len(chunk)] = probs[:, 1]
-        return lo + len(chunk)
-
-    starts = range(0, len(views), EVAL_CHUNK)
-    with one_blas_thread(), ExitStack() as stack:
-        if workers == 1:
-            # On the calling thread: a one-worker pool started per series
-            # (HPO validation traces many short series) left whole `hpo`
-            # benchmark runs bimodal, about a quarter slower with 5-7 MB
-            # more peak memory.
-            ends = map(score, starts)
-        else:
-            pool = stack.enter_context(ThreadPoolExecutor(workers))
-            futures = [pool.submit(score, lo) for lo in starts]
-            stack.callback(_cancel_and_drain, futures)
-            ends = (f.result() for f in futures)
-        scored = 0
-        for end in ends:
+    with one_blas_thread():
+        for lo in range(0, len(views), EVAL_CHUNK):
+            chunk = views[lo:lo + EVAL_CHUNK]  # stride-1: forward_batch shares its samples
+            probs, _ = forward_batch(model, chunk, need_cache=False)
+            end = lo + len(chunk)
+            out[lo:end] = probs[:, 1]
             # a run completed in this chunk may open up to consecutive - 1
             # entries before it
             if rule is not None and detect_from_trace(
-                    out[max(0, scored - rule[1] + 1):end], *rule) is not None:
+                    out[max(0, lo - rule[1] + 1):end], *rule) is not None:
                 return out[:end]
-            scored = end
     return out
+
+
+def _traces(model: GruModel, series_list: list[CleanSeries],
+            rule: tuple[float, int] | None = None) -> list[np.ndarray]:
+    """:func:`series_probabilities` of each series, in order, on
+    ``min(_trace_workers(model), len(series_list))`` threads; one worker
+    traces them on the calling thread."""
+    workers = min(_trace_workers(model), len(series_list))
+    if workers <= 1:
+        return [series_probabilities(model, s, rule) for s in series_list]
+    # Every worker's own hold then saves and restores the 1 set here, so
+    # no worker can put back another's count; this hold restores the
+    # caller's once every worker has stopped.
+    with one_blas_thread(), ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(lambda s: series_probabilities(model, s, rule), series_list))
 
 
 def _check_rule(threshold: float, consecutive: int) -> None:
@@ -233,20 +219,21 @@ def evaluate_dataset(model: GruModel, series_list: list[CleanSeries],
     sweeps can reuse one forward pass per series: a series missing from it
     is scored in full and added. Without ``traces`` each series is scored
     only up to its first alarm (the prefix rule of
-    :func:`series_probabilities`), which decides the same outcome.
+    :func:`series_probabilities`), which decides the same outcome. The
+    series are traced side by side, one per thread (see :func:`_traces`).
     """
     if not series_list:
         raise EmptyEvaluation("no series to evaluate")
     _check_rule(threshold, consecutive)
+    if traces is None:
+        found = _traces(model, series_list, (threshold, consecutive))
+    else:
+        missing = [s for s in series_list if s.id not in traces]
+        traces.update(zip([s.id for s in missing], _traces(model, missing)))
+        found = [traces[s.id] for s in series_list]
     confusion = ConfusionCounts()
     outcomes = []
-    for series in series_list:
-        if traces is None:
-            trace = series_probabilities(model, series, (threshold, consecutive))
-        elif series.id in traces:
-            trace = traces[series.id]
-        else:
-            trace = traces[series.id] = series_probabilities(model, series)
+    for series, trace in zip(series_list, found):
         detection = window_end(model, detect_from_trace(trace, threshold, consecutive))
         detected = detection is not None
         is_syncope = series.label is Label.SYNCOPE
@@ -298,6 +285,11 @@ def threshold_sweep(model: GruModel, series_list: list[CleanSeries],
         _check_rule(t, consecutive)
     if any(b <= a for a, b in zip(arr, arr[1:])):
         raise ConfigError("thresholds must be strictly ascending")
+    seen: set[str] = set()
+    for s in series_list:
+        if s.id in seen:  # the traces are keyed by id
+            raise DataError(f"series id {s.id!r} appears more than once")
+        seen.add(s.id)
     traces: dict[str, np.ndarray] = {}
     return [evaluate_dataset(model, series_list, t, consecutive=consecutive,
                              beta=beta, traces=traces) for t in arr]

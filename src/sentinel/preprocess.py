@@ -539,9 +539,16 @@ def load_clean_series(path: str | Path) -> CleanSeries:
 
 
 def load_clean_dir(directory: str | Path) -> list[CleanSeries]:
-    """Load every cleaned-series CSV in a directory, sorted by filename."""
+    """Load every cleaned-series CSV in a directory, sorted by filename;
+    two files with one series id are refused."""
     directory = Path(directory)
-    series = [load_clean_series(p) for p in sorted(directory.glob("*.csv"))]
+    series, paths = [], {}
+    for path in sorted(directory.glob("*.csv")):
+        s = load_clean_series(path)
+        if s.id in paths:
+            raise ParseError(f"{path}: series id {s.id!r} is also the id of {paths[s.id]}")
+        paths[s.id] = path
+        series.append(s)
     if not series:
         raise EmptyDataset(f"{directory}: no cleaned series found")
     return series

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Label
+from .data import Label, write_table
 from .errors import (
     BadWindow,
     ConfigError,
@@ -82,7 +82,6 @@ class TrainConfig:
 class WindowSet:
     inputs: np.ndarray   # (n, window_size, 2)
     labels: np.ndarray   # (n,) ints
-    provenance: list[tuple[str, int]]  # (series id, end index) per row
     skipped_series: list[str]
 
     def __len__(self) -> int:
@@ -93,7 +92,7 @@ def build_window_set(series_list: list[CleanSeries], cfg: TrainConfig) -> Window
     """Cut every series into windows (:meth:`CleanSeries.windows` at
     ``cfg.stride``) and label each by the index of its last sample."""
     inputs, labels = [np.zeros((0, cfg.window_size, 2))], [np.zeros(0, dtype=int)]
-    prov, skipped = [], []
+    skipped = []
     for s in series_list:
         windows, ends = s.windows(cfg.window_size, cfg.stride)
         if s.label is not Label.SYNCOPE:
@@ -109,9 +108,8 @@ def build_window_set(series_list: list[CleanSeries], cfg: TrainConfig) -> Window
                              POSITIVE, NEGATIVE)
         inputs.append(windows)
         labels.append(label)
-        prov += [(s.id, end) for end in ends.tolist()]
     return WindowSet(inputs=np.concatenate(inputs), labels=np.concatenate(labels),
-                     provenance=prov, skipped_series=skipped)
+                     skipped_series=skipped)
 
 
 def iter_batches(window_set: WindowSet, batch_size: int, rng: np.random.Generator):
@@ -341,7 +339,4 @@ def load_checkpoint(path, with_optimizer: bool = False):
 
 
 def save_loss_trace(losses: list[float], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("epoch,loss\n")
-        for i, loss in enumerate(losses):
-            fh.write(f"{i},{loss!r}\n")
+    write_table(path, ["epoch", "loss"], enumerate(losses))

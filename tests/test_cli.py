@@ -29,6 +29,7 @@ from sentinel.cli import (
     replay_run,
     resolve_config,
 )
+from sentinel.data import read_table
 from sentinel.errors import (
     AllTrialsFailed,
     ConfigInvalid,
@@ -547,6 +548,20 @@ class TestPipelineSmoke:
         assert (out / "sweep.svg").read_text().startswith("<svg")
         assert (out / "loss.svg").exists()
 
+    def test_report_numbers_a_second_input_of_one_name(self, pipeline, tmp_path):
+        other = tmp_path / "other"
+        other.mkdir()
+        shutil.copy(pipeline / "train" / "loss.csv", other / "loss.csv")
+        out = tmp_path / "report"
+        assert run_cli(
+            "report", "--out", out,
+            "--inputs", f"{pipeline / 'train' / 'loss.csv'},{other / 'loss.csv'}",
+            "--log-level", "warning",
+        ) == 0
+        assert sorted(p.name for p in out.iterdir() if p.suffix != ".json") == [
+            "index.html", "loss.svg", "loss_2.svg"]
+        assert (out / "loss_2.svg").read_text() == (out / "loss.svg").read_text()
+
     def test_run_record_contents(self, pipeline):
         record = load_run_record(pipeline / "train" / "run.json")
         assert record["command"] == "train"
@@ -728,6 +743,41 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "ParseError"
         assert err["message"].startswith(f"{odd}: cannot read: ")
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_cleaned_series_sharing_an_id_exit_3(self, pipeline, tmp_path, capsys,
+                                                 command):
+        # a sweep keyed its traces by id, so the second series was given
+        # the first one's detections
+        data = tmp_path / "test"
+        shutil.copytree(pipeline / "prep" / "clean" / "test", data)
+        first, second = sorted(data.glob("*.csv"))[:2]
+        text = second.read_text(encoding="utf-8").split("\n", 1)[1]
+        second.write_text(f"# id={first.stem}\n{text}", encoding="utf-8")
+        code = run_cli(command, "--model", pipeline / "train" / "model.ckpt",
+                       "--data", data, "--out", tmp_path / "o", "--log-level", "error")
+        assert code == 3
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {
+            "error": "ParseError",
+            "message": f"{second}: series id {first.stem!r} is also the id of {first}"}
+
+    def test_preprocess_that_empties_a_class_exits_3(self, pipeline, tmp_path, capsys):
+        # every syncope recording keeps only its mBP column, so each is
+        # dropped as incomplete and no syncope series is left to balance
+        data = tmp_path / "data"
+        shutil.copytree(pipeline / "synth" / "data", data)
+        recordings = sorted(data.rglob("syn*.csv"))
+        assert recordings
+        for path in recordings:
+            header, rows = read_table(path)
+            col = header.index("mBP")
+            path.write_text("time_s,mBP\n" + "".join(
+                f"{row[0]},{row[col]}\n" for row in rows if row[col]))
+        code = run_cli("preprocess", "--data", data, "--out", tmp_path / "o",
+                       "--log-level", "error")
+        assert code == 3
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {
+            "error": "EmptyDataset", "message": "a class was emptied during preprocessing"}
 
     @pytest.mark.parametrize("command, args, named", [
         ("hpo", ["--inner-fraction", "1.5"], "inner_fraction"),

@@ -5,6 +5,7 @@ import csv
 import json
 import os
 import sys
+import threading
 import time
 
 import numpy as np
@@ -15,6 +16,7 @@ from sentinel import evaluate, nn
 from sentinel.data import Label
 from sentinel.errors import (
     ConfigError,
+    DataError,
     EmptyEvaluation,
     NoDetections,
     NoPositives,
@@ -50,9 +52,13 @@ def wide_model(window=12):
         nn.ModelSpec(2, units, bidirectional=True, window_size=window), seed=2)
 
 
-def trace_on(monkeypatch, workers, model, series):
+def pooled(monkeypatch, workers, model, series_list):
+    """Full traces keyed by series id, and the report at the default
+    threshold, from one ``evaluate_dataset`` call on ``workers`` threads."""
     monkeypatch.setattr(evaluate, "_trace_workers", lambda m: workers)
-    return evaluate.series_probabilities(model, series)
+    traces = {}
+    report = evaluate.evaluate_dataset(model, series_list, traces=traces)
+    return traces, report
 
 
 class TestMetrics:
@@ -154,12 +160,16 @@ class TestSeriesProbabilities:
 
 
 class TestPooledTrace:
-    # 389 windows: three chunks of 128 and a partial one of 5
-    LENGTH = 400
-    WORKERS = (1, 2, 3, 8, 37, 64)
+    # the series of one call are traced side by side, one per thread
+    WORKERS = (1, 2, 3, 8)
 
-    def series(self):
-        return make_series("p", Label.SYNCOPE, length=self.LENGTH, seed=4)
+    def corpus(self, n=5, length=400):
+        """Series of 389, 382, ... windows at window 12: three chunks of 128
+        and a partial one."""
+        return [make_series(f"p{i}", Label.SYNCOPE if i % 2 else Label.NOSYNCOPE,
+                            length=length - 7 * i,
+                            marker=length - 7 * i - 20 if i % 2 else None, seed=4 + i)
+                for i in range(n)]
 
     def test_worker_count_follows_width(self):
         narrow = nn.init_params(nn.ModelSpec(
@@ -170,24 +180,47 @@ class TestPooledTrace:
         want = cpus if nn.openblas() is not None else 1
         assert evaluate._trace_workers(wide_model()) == want
 
+    @pytest.mark.parametrize("width", ["narrow", "wide"])
+    def test_one_pool_per_call(self, monkeypatch, width):
+        if width == "wide" and nn.openblas() is None:
+            pytest.skip("numpy's bundled OpenBLAS not found: every model traces serially")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        pools = []
+
+        class Counted(evaluate.ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(evaluate, "ThreadPoolExecutor", Counted)
+        model = wide_model() if width == "wide" else nn.init_params(nn.ModelSpec(
+            2, [evaluate.POOL_MIN_UNITS - 1] * 2, bidirectional=True, window_size=12), seed=2)
+        series = self.corpus(3, length=200)
+        evaluate.evaluate_dataset(model, series, 0.5)
+        evaluate.threshold_sweep(model, series, [0.3, 0.5, 0.7])
+        evaluate.detect_series(model, series[0], 0.5)
+        assert pools == ([3, 3] if width == "wide" else [])
+
     @pytest.fixture(scope="class")
     def cleaned(self, tmp_path_factory):
-        """A cleaned synthetic series on which chunks of 256 // workers
-        windows gave other bits at 3 and at 37 workers than at 1."""
+        """Cleaned synthetic series of 1,600 windows or more at window 100."""
         root = tmp_path_factory.mktemp("pooled")
         generate_dataset(SynthConfig(n_syncope=3, n_nosyncope=3, seed=9,
                                      length_range=(1700, 1900)), root)
         split, _ = preprocess_pipeline(scan_dataset(root), PreprocessConfig(), seed=9)
-        return split.train[0]
+        return split.train[:3]
 
     def test_pooled_equals_one_worker_bitwise(self, monkeypatch, cleaned):
         real = evaluate.forward_batch
         paper = nn.init_params(nn.ModelSpec(2, [32, 32], True, 100), seed=3)
-        for model, s in ((wide_model(), self.series()), (paper, cleaned)):
-            n = len(s.mbp) - model.spec.window_size + 1
-            chunks = [min(evaluate.EVAL_CHUNK, n - lo)
-                      for lo in range(0, n, evaluate.EVAL_CHUNK)]
-            traces = {}
+        for model, series in ((wide_model(), self.corpus()), (paper, cleaned)):
+            chunks = []
+            for s in series:
+                n = len(s.mbp) - model.spec.window_size + 1
+                chunks += [min(evaluate.EVAL_CHUNK, n - lo)
+                           for lo in range(0, n, evaluate.EVAL_CHUNK)]
+            runs = {}
             for workers in self.WORKERS:
                 seen = []
 
@@ -196,61 +229,74 @@ class TestPooledTrace:
                     return real(model, windows, need_cache)
 
                 monkeypatch.setattr(evaluate, "forward_batch", spy)
-                traces[workers] = trace_on(monkeypatch, workers, model, s)
-                assert sorted(seen, reverse=True) == chunks, workers
-                assert np.array_equal(traces[workers], traces[1]), workers
+                runs[workers] = traces, report = pooled(monkeypatch, workers, model, series)
+                assert sorted(seen) == sorted(chunks), workers
+                assert list(traces) == [s.id for s in series]
+                for sid, trace in traces.items():
+                    assert np.array_equal(trace, runs[1][0][sid]), (workers, sid)
+                assert report == runs[1][1], workers
 
     def test_stress_many_workers_short_switch_interval(self, monkeypatch):
-        model, s = wide_model(), self.series()
-        serial = trace_on(monkeypatch, 1, model, s)
+        model, series = wide_model(), self.corpus(9, length=300)
+        serial, _ = pooled(monkeypatch, 1, model, series)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             runs, deadline = 0, time.monotonic() + 2.0
             while runs < 3 or (time.monotonic() < deadline and runs < 20):
-                assert np.array_equal(trace_on(monkeypatch, 8, model, s), serial)
+                traces, _ = pooled(monkeypatch, 8, model, series)
+                for sid, trace in traces.items():
+                    assert np.array_equal(trace, serial[sid]), sid
                 runs += 1
         finally:
             sys.setswitchinterval(interval)
 
     def test_matches_single_window_forward_at_chunk_edges(self, monkeypatch):
-        model, s = wide_model(), self.series()
+        model, series = wide_model(), self.corpus(3)
         window = model.spec.window_size
-        trace = trace_on(monkeypatch, 2, model, s)
+        traces, _ = pooled(monkeypatch, 2, model, series)
         step = evaluate.EVAL_CHUNK
-        x = s.window_input()
-        edges = [0, step - 1, step, 2 * step - 1, 2 * step, 3 * step - 1, 3 * step,
-                 len(trace) - 1]
-        for i in edges:
-            probs = nn.forward_batch(model, x[None, i:i + window])[0][0]
-            assert_allclose(trace[i], probs[1], rtol=0, atol=1e-12)
+        for s in series:
+            trace, x = traces[s.id], s.window_input()
+            edges = [0, step - 1, step, 2 * step - 1, 2 * step, 3 * step - 1, 3 * step,
+                     len(trace) - 1]
+            for i in (i for i in edges if i < len(trace)):
+                probs = nn.forward_batch(model, x[None, i:i + window])[0][0]
+                assert_allclose(trace[i], probs[1], rtol=0, atol=1e-12)
 
     def test_blas_threads_restored(self, monkeypatch):
         blas = nn.openblas()
         if blas is None:
             pytest.skip("numpy's bundled OpenBLAS not found")
-        get = blas.get
-        model, s = wide_model(), self.series()
-        before = get()
+        model, series = wide_model(), self.corpus(4, length=200)
         seen = []
-        real = evaluate.forward_batch
+        real_forward, real_trace = evaluate.forward_batch, evaluate.series_probabilities
 
         def spy(*args, **kwargs):
-            seen.append(get())
-            return real(*args, **kwargs)
+            seen.append(blas.get())
+            return real_forward(*args, **kwargs)
+
+        def one_fails(model, s, rule=None):
+            if s.id == "p2":
+                raise RuntimeError("boom")
+            return real_trace(model, s, rule)
 
         monkeypatch.setattr(evaluate, "forward_batch", spy)
-        trace_on(monkeypatch, 2, model, s)
-        assert set(seen) == {1}
-        assert get() == before
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(evaluate, "forward_batch", boom)
-        with pytest.raises(RuntimeError, match="boom"):
-            trace_on(monkeypatch, 2, model, s)
-        assert get() == before
+        before = blas.get()
+        blas.put(2)
+        try:
+            for workers in self.WORKERS:
+                seen.clear()
+                pooled(monkeypatch, workers, model, series)
+                assert seen and set(seen) == {1}, workers
+                assert blas.get() == 2, workers
+                monkeypatch.setattr(evaluate, "series_probabilities", one_fails)
+                with pytest.raises(RuntimeError, match="boom"):
+                    pooled(monkeypatch, workers, model, series)
+                assert blas.get() == 2, workers
+                monkeypatch.setattr(evaluate, "series_probabilities", real_trace)
+        finally:
+            blas.put(before)
 
     def test_serial_trace_holds_one_blas_thread(self, monkeypatch):
         blas = nn.openblas()
@@ -270,7 +316,7 @@ class TestPooledTrace:
         before = blas.get()
         blas.put(2)
         try:
-            evaluate.series_probabilities(narrow, self.series())
+            evaluate.series_probabilities(narrow, self.corpus(1)[0])
             assert seen and set(seen) == {1}
             assert blas.get() == 2
         finally:
@@ -434,15 +480,12 @@ class TestEarlyStop:
         else:
             assert detections == [None, 254 + end, 650 + end, None]
         # each series is scored through the chunk holding the last entry of
-        # its first alarm run; a pool may also finish chunks already started
+        # its first alarm run, and no further, at any worker count
         step = evaluate.EVAL_CHUNK
         needed = sum(self.N_WINDOWS if d is None else
                      min(self.N_WINDOWS, (d - end + consecutive - 1) // step * step + step)
                      for d in detections)
-        if workers == 1:
-            assert scored == needed
-        else:
-            assert scored >= needed
+        assert scored == needed
 
     def test_alarm_in_first_chunk_costs_one_call(self, monkeypatch, chunks):
         monkeypatch.setattr(evaluate, "_trace_workers", lambda m: 1)
@@ -476,46 +519,26 @@ class TestEarlyStop:
             calls[entry]()
         assert chunks == []
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_pool_cancels_chunks_not_started(self, monkeypatch, workers):
-        # the first chunk returns at once and every other takes 0.2 s, so
-        # by the time the first alarm is seen only the workers' first
-        # chunks and one more have started
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_error_in_one_series_propagates(self, monkeypatch, chunks, workers):
+        # the scripted pass fails on the chunk holding window 200 of "bad"
         monkeypatch.setattr(evaluate, "_trace_workers", lambda m: workers)
-        starts = []
+        real = evaluate.forward_batch
 
-        def slow_after_first(model, windows, need_cache=True):
-            starts.append(len(windows))
-            if len(starts) > 1:
-                time.sleep(0.2)
-            p = windows[:, -1, 0]
-            return np.stack([1 - p, p], axis=1), None
-
-        monkeypatch.setattr(evaluate, "forward_batch", slow_after_first)
-        s = self.scripted("first-chunk", Label.SYNCOPE, [5])
-        trace = evaluate.series_probabilities(tiny_model(window=self.WINDOW), s,
-                                              (0.5, 1))
-        step = evaluate.EVAL_CHUNK
-        assert len(trace) == step
-        assert len(starts) < -(-self.N_WINDOWS // step)
-
-    def test_pool_raises_the_error_of_a_chunk_that_ran(self, monkeypatch):
-        # the second chunk fails while the first, which alarms, is read
-        monkeypatch.setattr(evaluate, "_trace_workers", lambda m: 2)
-
-        def fail_on_window_200(model, windows, need_cache=True):
-            p = windows[:, -1, 0]
-            if np.any(p == 0.3):
-                time.sleep(0.1)
+        def fail_on_0_3(model, windows, need_cache=True):
+            if np.any(windows[:, -1, 0] == 0.3):
                 raise RuntimeError("chunk failed")
-            return np.stack([1 - p, p], axis=1), None
+            return real(model, windows, need_cache)
 
-        monkeypatch.setattr(evaluate, "forward_batch", fail_on_window_200)
-        s = self.scripted("first-chunk", Label.SYNCOPE, [5])
-        s.mbp[self.WINDOW - 1 + 200] = 0.3
+        monkeypatch.setattr(evaluate, "forward_batch", fail_on_0_3)
+        bad = self.scripted("bad", Label.NOSYNCOPE, [])
+        bad.mbp[self.WINDOW - 1 + 200] = 0.3
+        series = self.corpus()
+        series.insert(2, bad)
+        threads = threading.active_count()
         with pytest.raises(RuntimeError, match="chunk failed"):
-            evaluate.series_probabilities(tiny_model(window=self.WINDOW), s,
-                                          (0.5, 1))
+            evaluate.evaluate_dataset(tiny_model(window=self.WINDOW), series, 0.5)
+        assert threading.active_count() == threads  # no worker outlives the call
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_pooled_model_prefix_of_full_trace(self, monkeypatch, workers):
@@ -596,6 +619,18 @@ class TestThresholdSweep:
             evaluate.threshold_sweep(model, s, [0.5, 0.4])
         with pytest.raises(ConfigError):
             evaluate.threshold_sweep(model, s, [0.0, 0.5])
+
+    def test_repeated_series_id_refused_before_scoring(self, monkeypatch):
+        # the sweep keys its traces by id: a second series under one id
+        # would be given the first one's trace
+        scored = []
+        monkeypatch.setattr(evaluate, "series_probabilities",
+                            lambda m, s, rule=None: scored.append(s) or np.zeros(1))
+        series = [make_series("a", Label.NOSYNCOPE), make_series("b", Label.SYNCOPE),
+                  make_series("a", Label.SYNCOPE, seed=1)]
+        with pytest.raises(DataError, match="'a' appears more than once"):
+            evaluate.threshold_sweep(tiny_model(), series, [0.5])
+        assert scored == []
 
 
 class TestPersistence:

@@ -67,3 +67,12 @@ def test_ctypes_only_in_nn():
     hits = [hit for path in sorted(PACKAGE.glob("*.py"))
             for hit in module_imports(path, "ctypes")]
     assert hits and all(hit.startswith("nn.py:") for hit in hits), hits
+
+
+def test_thread_pools_only_in_evaluate():
+    # evaluate's pool runs inside an outer hold of numpy's OpenBLAS, which is
+    # what makes each worker's own nested hold safe; a pool elsewhere would
+    # have no such hold
+    hits = [hit for path in sorted(PACKAGE.glob("*.py"))
+            for hit in module_imports(path, "concurrent")]
+    assert hits and all(hit.startswith("evaluate.py:") for hit in hits), hits

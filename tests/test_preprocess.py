@@ -447,6 +447,17 @@ class TestPipeline:
             assert set(s.norm_params) == {"mBP", "HR"}
             assert s.window_input().shape == (len(s), 2)
 
+    def test_recording_with_one_channel_column_dropped(self, tmp_path):
+        catalog = synth_catalog(tmp_path, n=4)
+        rec = catalog.records[0]
+        [path] = tmp_path.rglob(f"{rec.id}.csv")
+        path.write_text("time_s,mBP\n" + "".join(
+            f"{t!r},{v!r}\n" for t, v in rec.channels["mBP"].tolist()))
+        split, report = preprocess_pipeline(scan_dataset(tmp_path), PreprocessConfig(),
+                                            seed=3)
+        assert ("channels", rec.id, "missing channel") in report.drops
+        assert rec.id not in {s.id for s in split.train + split.test}
+
     def test_all_too_short_tree_raises(self, tmp_path):
         recs = [grid_rec(600, rid=f"r{i}",
                          label=Label.SYNCOPE if i % 2 else Label.NOSYNCOPE)
@@ -569,6 +580,16 @@ class TestCleanPersistence:
         empty.mkdir()
         with pytest.raises(EmptyDataset):
             load_clean_dir(empty)
+
+    def test_load_dir_refuses_a_repeated_id_naming_both_files(self, tmp_path):
+        for name in ("a", "b"):
+            series = self.make_series()
+            series.id = "same"
+            save_clean_series(series, tmp_path / f"{name}.csv")
+        with pytest.raises(ParseError) as err:
+            load_clean_dir(tmp_path)
+        assert str(err.value) == (f"{tmp_path / 'b.csv'}: series id 'same' is also "
+                                  f"the id of {tmp_path / 'a.csv'}")
 
 
 CLEAN_HEAD = ("# id=c01\n# label=syncope\n# rate_hz=1.25\n"

@@ -52,7 +52,6 @@ class TestMakeWindows:
         assert s.windows(100, 100)[1].tolist() == [99, 199, 299, 399, 499]
         ws = train.build_window_set([s], cfg(stride=100))
         assert len(ws) == 5
-        assert ws.provenance == [("a", end) for end in (99, 199, 299, 399, 499)]
         assert (ws.labels == train.NEGATIVE).all()
 
     def test_syncope_labeling_against_bruteforce(self):
@@ -68,11 +67,9 @@ class TestMakeWindows:
                 if end > marker:
                     continue
                 expected.append((end, 1 if end >= marker - 750 else 0))
-            got = [(end, label)
-                   for (_, end), label in zip(ws.provenance, ws.labels.tolist())]
-            assert got == expected
-            ends = [end for _, end in ws.provenance]
-            assert max(ends) <= marker
+            # the kept windows are the cutter's first ones, in order
+            ends = s.windows(100, 50)[1][:len(ws)].tolist()
+            assert list(zip(ends, ws.labels.tolist())) == expected
             assert ws.labels.any() and not ws.labels.all()
             x = s.window_input()
             for w, end in zip(ws.inputs, ends):
@@ -99,7 +96,7 @@ class TestMakeWindows:
     def test_markerless_syncope_yields_nothing(self):
         s = make_series("e", Label.SYNCOPE, 400, marker=None)
         ws = train.build_window_set([s], cfg())
-        assert len(ws) == 0 and ws.provenance == []
+        assert len(ws) == 0
         assert ws.inputs.shape == (0, 100, 2)
         assert ws.skipped_series == ["e"]
 
@@ -349,11 +346,13 @@ class TestFit:
         split = tiny_split()
         ws = train.build_window_set(split.train,
                                     cfg(window_size=60, stride=20, positive_horizon=80))
-        train_ids = {s.id for s in split.train}
-        test_ids = {s.id for s in split.test}
-        seen = {sid for sid, _ in ws.provenance}
-        assert seen <= train_ids
-        assert not (seen & test_ids)
+        def rows(series_list):
+            return {w.tobytes() for s in series_list for w in s.windows(60, 20)[0]}
+
+        train_rows, test_rows = rows(split.train), rows(split.test)
+        seen = {w.tobytes() for w in ws.inputs}
+        assert seen and seen <= train_rows
+        assert not (seen & test_rows)
 
 
 class TestCheckpoint:
@@ -479,3 +478,4 @@ class TestCheckpoint:
         header, rows = read_table(path)
         assert [float(loss) for _, loss in rows] == losses
         assert header == ["epoch", "loss"]
+        assert path.read_bytes().startswith(b"epoch,loss\r\n0,0.7\r\n")
