@@ -354,8 +354,10 @@ def scan_dataset(directory: str | Path, rate_hz: float = DEFAULT_RATE_HZ) -> Dat
 def _content_key(rec: RawRecording) -> tuple:
     # Hashable digest of channel values only: two recordings collide exactly
     # when every channel has the same length and the same sample values.
+    # Adding 0.0 turns -0.0 into 0.0, so equal values have equal bytes
+    # (``validate`` refuses NaN, the other float unequal to itself).
     return tuple(
-        (name, tuple(rec.channels[name][:, 1].tolist()))
+        (name, (rec.channels[name][:, 1] + 0.0).tobytes())
         for name in sorted(rec.channels)
     )
 

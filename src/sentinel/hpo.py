@@ -394,7 +394,8 @@ def run_phase(space: SearchSpace, budget: int, objective_fn, seed: int,
     A trial whose objective raises or returns a non-finite value is logged
     at warning with the exception type and message, recorded as failed and
     observed at the worst case 1.0 so the surrogate learns to avoid the
-    region.
+    region. Each point is recorded once; an error of the surrogate's refit
+    propagates.
     """
     if n_init < 1:
         raise ConfigError(f"n_init must be >= 1, got {n_init}")
@@ -408,15 +409,15 @@ def run_phase(space: SearchSpace, budget: int, objective_fn, seed: int,
             value = float(objective_fn(params))
             if not np.isfinite(value):
                 raise ValueError(f"non-finite objective {value!r}")
-            value = min(max(value, 0.0), 1.0)
-            trials.append(HpoTrial(params=params, objective=value, status="done"))
-            observe(surr, params, value)
+            trial = HpoTrial(params=params, objective=min(max(value, 0.0), 1.0), status="done")
         except Exception as exc:
             log.warning("trial %d of %d failed (%s: %s) at %s",
                         len(trials) + 1, budget, type(exc).__name__, exc,
                         {k: params[k] for k in sorted(params)})
-            trials.append(HpoTrial(params=params, objective=1.0, status="failed"))
-            observe(surr, params, 1.0)
+            trial = HpoTrial(params=params, objective=1.0, status="failed")
+        # outside the try: a refit error is the search's, not the trial's
+        trials.append(trial)
+        observe(surr, params, trial.objective)
     return trials, best_trial(trials)
 
 

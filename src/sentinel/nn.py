@@ -27,11 +27,11 @@ Input shares: a scan computes the input's share of every gate's
 pre-activation, x W + b, for every direction, one block of steps at a time
 just before its time loop reaches them, each direction's rows (one per
 window and step) concatenated from the lower layer's states. A training
-pass takes one block of all T steps, whose rows BPTT keeps; an inference
-pass over B windows takes blocks of ceil(BLOCK_ROWS / B) steps, and builds
-no layer's whole input. For a few widths (12 and 18 units) BLAS picks its
-product kernel by row count, so inference can then differ from training in
-the last bit. Layer 0 of an inference pass over stride-1 windows (each
+pass takes one block of all T steps, whose rows BPTT builds again; an
+inference pass over B windows takes blocks of ceil(BLOCK_ROWS / B) steps,
+and builds no layer's whole input. For a few widths (12 and 18 units) BLAS
+picks its product kernel by row count, so inference can then differ from
+training in the last bit. Layer 0 of an inference pass over stride-1 windows (each
 window one sample after the one before, as ``CleanSeries.windows`` gives
 them) instead takes one row per sample: a chunk of B windows of T samples
 is B+T-1 samples, and each step reads a sliding view of those rows. Its
@@ -53,15 +53,26 @@ splits a product, so ``train.fit`` and every stride-1 trace hold numpy's
 OpenBLAS to one thread with :func:`one_blas_thread`.
 
 Buffers: the large arrays of the cached forward pass and of BPTT (each
-gate's input share, every layer's gates, candidates and states, the next
-layer's input, the pre-activation and input gradients, and the row copies
-the weight-gradient products read) live in a :class:`Workspace`, one flat
-buffer per role. ``train.fit`` owns one workspace for the whole call and
-passes it to every batch, so after its first full batch no batch allocates
-a large array; any other :func:`forward_batch` call gets a fresh workspace
-of its own. A buffer is replaced only when a larger shape is asked for, so
-an epoch's short last batch reuses the full batches' memory. A training
-cache keeps every layer's arrays in a slot of their own until
+gate's input share, every layer's gates, candidates and states, the rows a
+layer's input shares are taken from, the pre-activation and input
+gradients, and the row copies the weight-gradient products read) live in
+a :class:`Workspace`, one flat buffer per role. A role whose data is dead
+lends its buffer to the next: the pre-activation gradients take the input
+shares' buffer, a direction's gradient rows its layer's z and r gates',
+the state rows the product scratch's, and the input rows, which BPTT
+rebuilds from the lower layer's states as the forward pass built them,
+hold the backward direction's input gradient once read. A training pass
+over T steps of B windows thus keeps 4L + 6.5 units of T n_dir B H floats
+for L bidirectional layers of H units each (11.3 MiB at 2x32b, window 100,
+batch 16), plus a copy of the windows; a forward-only layer's z and r
+buffer grows by half to hold its gradient rows. Nothing is recomputed, and
+no product or sum depends on which buffer holds its operands. ``train.fit``
+owns one workspace for the whole call and passes it to every batch, so
+after its first full batch no batch allocates a large array; any other
+:func:`forward_batch` call gets a fresh workspace of its own. A buffer is
+replaced only when a larger shape is asked for, so an epoch's short last
+batch reuses the full batches' memory. A training cache keeps every
+layer's gates, candidates and states in a slot of their own until
 :func:`backward_batch` consumes them; the next ``forward_batch`` on the
 same workspace overwrites them, and ``backward_batch`` then rejects the
 stale cache with NoActivationCache instead of returning wrong gradients.
@@ -287,10 +298,11 @@ def _time_aligned(seqs) -> list[np.ndarray]:
 
 @dataclass
 class _ScanCache:
-    seq: np.ndarray | None  # (T, B, D) input in natural time; None: inference
+    seq: list[np.ndarray] | None  # (T, B, D_i) input parts in natural time; None: inference
     zrs: np.ndarray | None  # (T, 2, n_dir, B, H) update and reset gates
     cs: np.ndarray | None   # (T, n_dir, B, H) candidates
     hs: np.ndarray          # (T, n_dir, B, H) emitted states in processing order
+    slot: int               # the workspace slot of zrs, cs and hs
 
 
 def _by_gate(a: np.ndarray, gates: int) -> np.ndarray:
@@ -308,7 +320,8 @@ def _scan(seq: np.ndarray | list[np.ndarray], layer: GruLayer, ws: Workspace,
     along their last axis, all directions in one time loop.
 
     The input shares are computed in blocks (see Input shares in the module
-    docstring); a training pass's one block of rows is the cache's ``seq``.
+    docstring), each block's rows built in the transient ``x_rows`` buffer;
+    a training cache keeps the input's parts, from which BPTT rebuilds them.
     Given ``samples`` (B+T-1, D), with ``seq[t, b] == samples[t + b]``, they
     are computed once per sample instead, and step t of batch row b reads
     sample row t + b in both directions: the backward direction then runs
@@ -371,7 +384,7 @@ def _scan(seq: np.ndarray | list[np.ndarray], layer: GruLayer, ws: Workspace,
                 lo, hi = (t0, t1) if k == 0 else (T - t1, T - t0)
                 if k == 0 or lo != t0:
                     rows = np.concatenate([p[lo:hi] for p in parts], axis=-1,
-                                          out=ws.take(f"seq{slot}", (hi - lo, B, D)))
+                                          out=ws.take("x_rows", (hi - lo, B, D)))
                 project(rows.reshape(-1, D), k, xb[::(-1) ** k, :, k].swapaxes(0, 1))
         else:
             xb = xp[t0:t1]
@@ -390,8 +403,8 @@ def _scan(seq: np.ndarray | list[np.ndarray], layer: GruLayer, ws: Workspace,
             move *= zr[0]
             h = np.add(h, move, out=h_next)
     if not need_cache:
-        rows = zrs = cs = None
-    return _ScanCache(seq=rows, zrs=zrs, cs=cs, hs=hs)
+        parts = zrs = cs = None
+    return _ScanCache(seq=parts, zrs=zrs, cs=cs, hs=hs, slot=slot)
 
 
 def _scan_backward(layer: GruLayer, cache: _ScanCache, d_hs: np.ndarray,
@@ -399,20 +412,23 @@ def _scan_backward(layer: GruLayer, cache: _ScanCache, d_hs: np.ndarray,
     """Exact BPTT through one scan. ``d_hs`` (T, n_dir, B, H) is the
     gradient w.r.t. every emitted state in processing order; returns the
     parameter gradients, stacked like ``layer``, and the gradient w.r.t.
-    the scanned input sequence in processing order, (n_dir, T, B, D), a
-    view of ``ws``'s buffer that the next call overwrites.
+    the scanned input sequence in natural time, (T, B, D), a view of
+    ``ws``'s buffer that the next call overwrites.
 
-    Consumes ``cache``: its gate and candidate buffers are overwritten.
+    Consumes ``cache``: its gate and candidate buffers are overwritten. The
+    pre-activation gradients take the buffer of the input shares, dead once
+    the forward time loop ended; each direction's copy of them as rows the
+    buffer of the gates z and r, dead once this time loop ends.
     """
     T, n, B, H = cache.hs.shape
-    D = cache.seq.shape[-1]
+    D = sum(p.shape[-1] for p in cache.seq)
     z, r, c = cache.zrs[:, 0], cache.zrs[:, 1], cache.cs
     h_prev = cache.hs[:-1]  # the states steps 1..T-1 read; step 0 reads zeros
     # Before the time loop, d_pre holds per gate the factor that takes the
     # state gradient to that gate's pre-activation gradient, built in
     # whole-array passes: a_z = (c - h_prev) z(1-z), a_r = h_prev r(1-r),
     # a_c = z(1-c^2). Then z's buffer holds 1 - z, and c's holds r h_prev.
-    d_pre = ws.take("d_pre", (T, 3, n, B, H))
+    d_pre = ws.take("xp", (T, 3, n, B, H))
     a_z, a_r, a_c = d_pre[:, 0], d_pre[:, 1], d_pre[:, 2]
     a_z[0] = c[0]
     np.subtract(c[1:], h_prev, out=a_z[1:])
@@ -446,18 +462,27 @@ def _scan_backward(layer: GruLayer, cache: _ScanCache, d_hs: np.ndarray,
         dh += d_zr_u[1]
     # Every sum over rows is one product over all rows of a direction, taken
     # in (time, batch) order; the recurrent weights' sums skip step 0, whose
-    # h_prev is zero. One direction's rows are copied out at a time.
+    # h_prev is zero. One direction's rows are copied out at a time: its
+    # input rows rebuilt from the input's parts, as the forward pass built
+    # them, and the state rows into the forward pass's product scratch.
     grads = GruLayer(*(np.empty_like(p) for p in (layer.wx, layer.u_zr, layer.u_c, layer.b)))
-    d_x = ws.take("d_x", (n, T * B, D))
-    for k, x in enumerate(_time_aligned([cache.seq] * n)):
-        rows = ws.copy("d_rows", d_pre[:, :, k].swapaxes(1, 2)).reshape(T * B, 3 * H)  # [z|r|c] columns
+    d_seq = ws.take("d_seq", (T, B, D))
+    for k in range(n):
+        x = np.concatenate([p[::(-1) ** k] for p in cache.seq], axis=-1,
+                           out=ws.take("x_rows", (T, B, D))).reshape(T * B, D)
+        rows = ws.copy(f"zrs{cache.slot}",  # [z|r|c] columns
+                       d_pre[:, :, k].swapaxes(1, 2)).reshape(T * B, 3 * H)
         later = rows[B:]
-        grads.wx[k] = ws.copy("x_rows", x).reshape(T * B, D).T @ rows
-        grads.u_zr[k] = ws.copy("h_rows", h_prev[:, k]).reshape(-1, H).T @ later[:, :2 * H]
-        grads.u_c[k] = ws.copy("h_rows", rh[1:, k]).reshape(-1, H).T @ later[:, 2 * H:]
+        grads.wx[k] = x.T @ rows
+        grads.u_zr[k] = ws.copy("xw", h_prev[:, k]).reshape(-1, H).T @ later[:, :2 * H]
+        grads.u_c[k] = ws.copy("xw", rh[1:, k]).reshape(-1, H).T @ later[:, 2 * H:]
         grads.b[k] = rows.sum(axis=0)
-        np.matmul(rows, layer.wx[k].T, out=d_x[k])
-    return grads, d_x.reshape(n, T, B, D)
+        # direction 0's input gradient goes straight into d_seq; the backward
+        # direction's into x's rows, read by now, then added time-reversed
+        np.matmul(rows, layer.wx[k].T, out=x if k else d_seq.reshape(T * B, D))
+        if k:
+            d_seq += x.reshape(T, B, D)[::-1]
+    return grads, d_seq
 
 
 # --- BLAS thread count ------------------------------------------------------------
@@ -569,6 +594,8 @@ def forward_batch(model: GruModel, windows: np.ndarray, need_cache: bool = True,
     if not need_cache and len(windows) and windows.strides[0] == windows.strides[1]:
         samples = np.concatenate([windows[:, 0], windows[-1, 1:]])
     seq = windows.transpose(1, 0, 2)  # time-major
+    if need_cache:  # BPTT reads it again: a copy, so the caller may reuse windows
+        seq = ws.copy("seq0", seq)
     layer_caches: list[_ScanCache] = []
     top = len(model.layers) - 1
     for li, layer in enumerate(model.layers):
@@ -635,13 +662,9 @@ def backward_batch(model: GruModel, cache: ForwardCache, targets: np.ndarray) ->
     d_hs[:-1] = 0.0
     d_hs[-1] = d_feat.reshape(B, n, -1).swapaxes(0, 1)
     for li in range(len(model.layers) - 1, -1, -1):
-        g, d_x = _scan_backward(model.layers[li], layer_caches[li], d_hs, ws)
+        g, d_seq = _scan_backward(model.layers[li], layer_caches[li], d_hs, ws)
         grads.update(g.named(li))
         if li > 0:  # split the gradient w.r.t. the lower layer's output by direction
-            first, *rest = _time_aligned(d_x)
-            d_seq = ws.copy("d_seq", first)
-            for part in rest:
-                d_seq += part
             d_hs = np.stack(_time_aligned(np.split(d_seq, n, axis=-1)), axis=1,
                             out=ws.take("d_hs", layer_caches[li - 1].hs.shape))
     return grads

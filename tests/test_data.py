@@ -537,6 +537,13 @@ class TestFindConflicts:
         assert pairs == [("a", "b")]
         assert cat.conflicts == pairs
 
+    def test_negative_zero_matches_zero(self):
+        # -0.0 == 0.0 although their bytes differ
+        a = make_rec("a", Label.SYNCOPE, [1, -0.0, 3], [-0.0, 5, 6])
+        b = make_rec("b", Label.NOSYNCOPE, [1, 0.0, 3], [0.0, 5, 6])
+        assert same_content(a, b)
+        assert find_conflicts(make_catalog([a, b])) == [("a", "b")]
+
     def test_disjoint_contents_yield_no_conflicts(self):
         a = make_rec("a", Label.SYNCOPE, [1, 2, 3], [4, 5, 6])
         b = make_rec("b", Label.NOSYNCOPE, [1, 2, 9], [4, 5, 6])

@@ -314,6 +314,28 @@ class TestRunPhase:
         with pytest.raises(AllTrialsFailed):
             hpo.run_phase(unit_space(2), 8, broken, seed=0)
 
+    def test_refit_error_after_a_done_trial_propagates(self, monkeypatch, caplog):
+        # the objective succeeded: the trial is recorded once, as done, and
+        # the refit's error is the search's, not logged as a failed trial
+        real, refits, seen = hpo.observe, [], []
+
+        def observe(surr, params, objective):
+            refits.append(objective)
+            if len(refits) == 3:
+                raise DegenerateSurrogate("kernel matrix not positive definite")
+            return real(surr, params, objective)
+
+        def objective(params):
+            seen.append(params)
+            return 0.25
+
+        monkeypatch.setattr(hpo, "observe", observe)
+        caplog.set_level(logging.WARNING, logger="sentinel.hpo")
+        with pytest.raises(DegenerateSurrogate, match="not positive definite"):
+            hpo.run_phase(unit_space(2), 4, objective, seed=0, n_init=4)
+        assert refits == [0.25] * 3 and len(seen) == 3
+        assert caplog.records == []
+
     def test_non_finite_objective_is_failure(self):
         def nan_fn(params):
             return float("nan")

@@ -403,7 +403,8 @@ class TestWorkspace:
     @pytest.mark.parametrize("spec", [
         nn.ModelSpec(2, [5, 4], bidirectional=True, window_size=8),
         nn.ModelSpec(1, [6], bidirectional=False, window_size=8),
-    ], ids=["2x(5,4)b", "1x6f"])
+        nn.ModelSpec(3, [6, 5, 4], bidirectional=True, window_size=8),
+    ], ids=["2x(5,4)b", "1x6f", "3x(6,5,4)b"])
     def test_reused_workspace_matches_a_fresh_one_bitwise(self, spec):
         # a full batch, a short one in the full one's buffers, and a full
         # one again; every buffer is filled with NaN before each reuse, so
@@ -423,6 +424,30 @@ class TestWorkspace:
             assert probs.tobytes() == fresh_probs.tobytes()
             assert {n: g.tobytes() for n, g in grads.items()} == {
                 n: g.tobytes() for n, g in fresh_grads.items()}
+
+    def test_caller_may_reuse_its_windows_before_backward(self):
+        # BPTT reads layer 0's input again; the cache holds its own copy
+        spec = nn.ModelSpec(2, [5, 4], bidirectional=True, window_size=8)
+        model = nn.init_params(spec, seed=8)
+        rng = np.random.default_rng(17)
+        windows, targets = rng.normal(size=(4, 8, 2)), np.array([0, 1, 1, 0])
+        want = nn.backward_batch(model, nn.forward_batch(model, windows.copy())[1], targets)
+        _, cache = nn.forward_batch(model, windows)
+        windows.fill(np.nan)
+        got = nn.backward_batch(model, cache, targets)
+        assert {n: g.tobytes() for n, g in got.items()} == {
+            n: g.tobytes() for n, g in want.items()}
+
+    def test_training_buffers_fit_the_budget(self):
+        # 2x32b, window 100, batch 16: 4L + 6.5 units of T*n_dir*B*H floats
+        # (0.78 MiB) and the 25 KiB copy of the windows
+        spec = nn.ModelSpec(2, [32, 32], bidirectional=True, window_size=100)
+        model = nn.init_params(spec, seed=2)
+        rng = np.random.default_rng(5)
+        ws = nn.Workspace()
+        _, cache = nn.forward_batch(model, rng.normal(size=(16, 100, 2)), workspace=ws)
+        nn.backward_batch(model, cache, rng.integers(0, 2, size=16))
+        assert sum(buf.nbytes for buf in ws._buffers.values()) <= 12 * 2**20
 
 
 def stride_one_windows(window, n_windows, seed):
